@@ -115,47 +115,6 @@ def _tangential(v, normal):
     return v - np.dot(v, nhat) * nhat
 
 
-def _objective_parts(spec, params, grid, values):
-    """(energy, penalty, node potential) without constructing Profile objects."""
-    x = grid.nodes
-    h = np.diff(x)
-    E = cell_weights(grid, params)
-    w = spec.value(values)
-    du = (values[1:] - values[:-1]) / h[:, None]
-    kin = 0.5 * np.sum(du * du, axis=1)
-    pot = 0.5 * (w[:-1] + w[1:])
-    J = float(np.sum(E * (kin + pot)))
-    if params.penalty_kappa > 0:
-        p = np.square(np.minimum(w, 0.0))
-        right = x[:-1] >= 0.0
-        P = params.penalty_kappa * float(np.sum(E[right] * 0.5 * (p[:-1] + p[1:])[right]))
-    else:
-        P = 0.0
-    return J, P, w
-
-
-def _gradient(spec, params, grid, values, w, E, h):
-    g = np.zeros_like(values)
-    t = (E / (h * h))[:, None] * (values[1:] - values[:-1])
-    g[:-1] -= t
-    g[1:] += t
-    dw = np.asarray(spec.gradient(values), dtype=float)
-    node_w = np.zeros(values.shape[0])
-    node_w[:-1] += E
-    node_w[1:] += E
-    g += 0.5 * node_w[:, None] * dw
-    if params.penalty_kappa > 0:
-        right = grid.nodes[:-1] >= 0.0
-        node_wr = np.zeros(values.shape[0])
-        node_wr[:-1][right] += E[right]
-        node_wr[1:][right] += E[right]
-        g += params.penalty_kappa * 0.5 * node_wr[:, None] * (
-            -2.0 * np.maximum(-w, 0.0)[:, None] * dw
-        )
-    g[-1] = 0.0
-    return g
-
-
 def _feasibility_violation(grid: Grid, w: np.ndarray) -> float:
     right = grid.nodes > 0.0
     if not np.any(right):

@@ -93,8 +93,18 @@ class PotentialConstants:
 # ---------------------------------------------------------------------------
 
 def _quartic_well(u, c):
-    # antiderivative of (s^2-1)(2s-c) from 1 to u
-    return u**4 / 2 - c * u**3 / 3 - u**2 + c * u + 0.5 - 2.0 * c / 3.0
+    # antiderivative of (s^2-1)(2s-c) from 1 to u,
+    # u^4/2 - c u^3/3 - u^2 + c u + 1/2 - 2c/3, in Horner form; updated in
+    # place, so an array input costs one allocation
+    w = 0.5 * u
+    w -= c / 3.0
+    w *= u
+    w -= 1.0
+    w *= u
+    w += c
+    w *= u
+    w += 0.5 - 2.0 * c / 3.0
+    return w
 
 
 def _quartic_well_d1(u, c):
@@ -175,6 +185,84 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
     )
 
 
+class _Monomials:
+    """Sums of monomials c * prod_k u_k**e_k, each added into one output slot.
+
+    Built from (coefficient, exponents, slot) triples.  Evaluation maps
+    (..., dim) to (..., n_slots) with multiplies only: powers come from
+    repeated multiplication, never from ``pow``.  A single point is evaluated
+    in plain floats, which beats numpy's per-call overhead on a handful of
+    terms; a batch is processed in row chunks, so its temporaries stay at
+    O(chunk * dim * max exponent) however many rows it has.  Both routes form
+    each monomial, scale it and sum the terms in the same order, so they
+    agree bit for bit.
+    """
+
+    CHUNK = 8192
+
+    def __init__(self, terms, dim: int, n_slots: int):
+        self.dim = dim
+        self.n_slots = n_slots
+        # (coefficient, slot, ((component, exponent), ...)) over nonzero exponents
+        self.terms = [
+            (float(c), int(slot), tuple((int(k), int(exps[k])) for k in np.nonzero(exps)[0]))
+            for c, exps, slot in terms
+        ]
+        self.top = [max((e for _, _, fs in self.terms for k, e in fs if k == j), default=0)
+                    for j in range(dim)]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if u.ndim == 1:
+            return self._point(u.tolist())
+        rows = u.reshape(-1, self.dim)
+        return self._rows(rows).reshape(u.shape[:-1] + (self.n_slots,))
+
+    def _point(self, x):
+        powers = []
+        for xk, top in zip(x, self.top):
+            pk = [1.0, xk]
+            for _ in range(top - 1):
+                pk.append(pk[-1] * xk)
+            powers.append(pk)
+        out = [0.0] * self.n_slots
+        for c, slot, factors in self.terms:
+            m = 1.0
+            for k, e in factors:
+                m *= powers[k][e]
+            out[slot] += m * c
+        return np.array(out)
+
+    def _rows(self, u):
+        n = u.shape[0]
+        out = np.zeros((self.n_slots, n))
+        size = min(n, self.CHUNK)
+        powers = [np.empty((top + 1, size)) for top in self.top]
+        tmp_full = np.empty(size)
+        for start in range(0, n, size):
+            blk = u[start:start + size]
+            m = blk.shape[0]
+            for k, pk in enumerate(powers):
+                if len(pk) > 1:
+                    pk[1, :m] = blk[:, k]
+                for e in range(2, len(pk)):
+                    np.multiply(pk[e - 1, :m], pk[1, :m], out=pk[e, :m])
+            acc, tmp = out[:, start:start + m], tmp_full[:m]
+            for c, slot, factors in self.terms:
+                if not factors:
+                    acc[slot] += c
+                    continue
+                (k, e), *rest = factors
+                if rest:
+                    np.copyto(tmp, powers[k][e, :m])
+                    for k, e in rest:
+                        tmp *= powers[k][e, :m]
+                    tmp *= c
+                else:
+                    np.multiply(powers[k][e, :m], c, out=tmp)
+                acc[slot] += tmp
+        return out.T if self.n_slots == 1 else np.ascontiguousarray(out.T)
+
+
 def user_polynomial(
     dim: int,
     terms: Sequence[tuple[float, Sequence[int]]],
@@ -183,8 +271,9 @@ def user_polynomial(
 ) -> PotentialSpec:
     """Potential given as a table of monomial terms (coeff, exponents).
 
-    Each term contributes coeff * prod_k u_k**exp_k.  Gradient and Hessian
-    are formed analytically from the table.  The bounding box is required:
+    Each term contributes coeff * prod_k u_k**exp_k.  The gradient and
+    Hessian term tables are differentiated from it once, here, and all three
+    evaluate with multiplies only (see ``_Monomials``).  The bounding box is required:
     boundedness of the negative region is the caller's responsibility.
     """
     coeffs = np.array([float(c) for c, _ in terms])
@@ -200,50 +289,30 @@ def user_polynomial(
     if well.shape != (dim,) or box.shape != (dim, 2):
         raise ContractViolationError("user_polynomial well_b/bounding_box shape mismatch")
 
-    def _powers(u, exps):
-        # prod over components of u_k ** e_k, batched over leading axes
-        out = np.ones(u.shape[:-1])
-        for k in range(dim):
-            e = exps[k]
-            if e:
-                out = out * u[..., k] ** e
-        return out
+    # gradient and Hessian tables: d/du_k of c u^e is (c e_k) u^(e - 1_k)
+    grad_terms, hess_terms = [], []
+    for c, exps in zip(coeffs, expo):
+        for k in np.nonzero(exps)[0]:
+            de = exps.copy()
+            de[k] -= 1
+            grad_terms.append((c * exps[k], de, k))
+            for l in np.nonzero(de)[0]:
+                dde = de.copy()
+                dde[l] -= 1
+                hess_terms.append((c * (exps[k] * de[l]), dde, k * dim + l))
+    values = _Monomials([(c, exps, 0) for c, exps in zip(coeffs, expo)], dim, 1)
+    grads = _Monomials(grad_terms, dim, dim)
+    hessians = _Monomials(hess_terms, dim, dim * dim)
 
     def value(u):
-        u = np.asarray(u, dtype=float)
-        acc = np.zeros(u.shape[:-1])
-        for c, exps in zip(coeffs, expo):
-            acc = acc + c * _powers(u, exps)
-        return acc
+        return values(np.asarray(u, dtype=float))[..., 0]
 
     def gradient(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for c, exps in zip(coeffs, expo):
-            for k in range(dim):
-                if exps[k] == 0:
-                    continue
-                de = exps.copy()
-                de[k] -= 1
-                out[..., k] += c * exps[k] * _powers(u, de)
-        return out
+        return grads(np.asarray(u, dtype=float))
 
     def hessian(u):
-        u = np.asarray(u, dtype=float)
-        H = np.zeros((dim, dim))
-        for c, exps in zip(coeffs, expo):
-            for k in range(dim):
-                if exps[k] == 0:
-                    continue
-                for l in range(dim):
-                    ek = exps.copy()
-                    ek[k] -= 1
-                    if ek[l] == 0:
-                        continue
-                    de = ek.copy()
-                    de[l] -= 1
-                    H[k, l] += c * exps[k] * ek[l] * _powers(u, de)
-        return 0.5 * (H + H.T)
+        # entries (k, l) and (l, k) sum the same terms in the same order: symmetric
+        return hessians(np.asarray(u, dtype=float)).reshape(dim, dim)
 
     return PotentialSpec(
         dim=dim,
@@ -255,21 +324,6 @@ def user_polynomial(
         variant="user_polynomial",
         params=tuple(float(c) for c in coeffs),
     )
-
-
-def finite_difference_hessian(spec_gradient, dim: int, h: float = 1e-5):
-    """Build a Hessian callback from centered differences of a gradient callback."""
-
-    def hessian(u):
-        u = np.asarray(u, dtype=float)
-        H = np.empty((dim, dim))
-        for k in range(dim):
-            step = np.zeros(dim)
-            step[k] = h
-            H[:, k] = (spec_gradient(u + step) - spec_gradient(u - step)) / (2 * h)
-        return 0.5 * (H + H.T)
-
-    return hessian
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +422,7 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
 
     pts = _scan_points(spec, per_axis)
     w = spec.value(pts)
-    neg = w < 0
+    neg = w < -NEG_TOL
     if not np.any(neg):
         raise AssumptionViolationError("no negative region found inside the bounding box")
 
@@ -417,8 +471,8 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
     dist = np.linalg.norm(pts[neg] - b, axis=1)
     near_order = np.argsort(dist)
     d = float(dist[near_order[0]])
-    for idx in near_order[:16]:
-        p = pts[neg][idx]
+    for idx in np.flatnonzero(neg)[near_order[:16]]:
+        p = pts[idx]
         t_cross = _first_negative_crossing(spec, b, p)
         if t_cross is not None:
             d = min(d, t_cross * float(np.linalg.norm(p - b)))
@@ -440,7 +494,7 @@ def _first_negative_crossing(spec: PotentialSpec, b, p, samples: int = 2001):
     ts = np.linspace(0.0, 1.0, samples)
     line = b + np.multiply.outer(ts, p - b)
     w = spec.value(line)
-    negs = np.nonzero(w < 0)[0]
+    negs = np.nonzero(w < -NEG_TOL)[0]
     if negs.size == 0:
         return None
     j = int(negs[0])

@@ -19,7 +19,25 @@ from gradwave import (
     user_polynomial,
     validate_spec,
 )
+from gradwave.potential import _Monomials, _quartic_well
 from conftest import D_DECOUPLED, D_SCALAR, M_SEG_DECOUPLED, U_STAR
+
+
+def quartic_well_terms(speeds):
+    """Monomial table of the sum of one-component quartic wells, one per speed.
+
+    Component k contributes u_k^4/2 - c_k u_k^3/3 - u_k^2 + c_k u_k; the
+    constants of all components merge into one trailing term.
+    """
+    dim = len(speeds)
+    terms = []
+    for k, c in enumerate(speeds):
+        for coeff, e in ((0.5, 4), (-c / 3.0, 3), (-1.0, 2), (c, 1)):
+            exps = [0] * dim
+            exps[k] = e
+            terms.append((coeff, exps))
+    terms.append((sum(0.5 - 2.0 * c / 3.0 for c in speeds), [0] * dim))
+    return terms
 
 
 def quartic_well_quad(u, c):
@@ -107,16 +125,91 @@ class TestConstants:
             validate_spec(spec)
 
 
+    def test_permuted_terms_accepted(self):
+        # summing the same 13 coefficients in another order leaves W(b) a few
+        # ulp below zero; that is roundoff, not a negative region at the well
+        speeds = (0.6, 0.9, 1.2)
+        terms = quartic_well_terms(speeds)
+        shuffled = [terms[i] for i in np.random.default_rng(0).permutation(len(terms))]
+        box = [[-2.0, 2.0]] * 3
+        plain = user_polynomial(3, terms, [1.0] * 3, box)
+        permuted = user_polynomial(3, shuffled, [1.0] * 3, box)
+        assert -1e-15 < float(permuted.value(np.ones((1, 3)))[0]) < 0.0
+        validate_spec(permuted)
+        ref, got = compute_constants(plain), compute_constants(permuted)
+        for name in ("d", "m", "M"):
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), abs=1e-9)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("c", [0.6, 0.9, 1.2])
+    def test_horner_well_matches_expanded(self, c):
+        u = np.linspace(-2.0, 2.0, 40001)
+        expanded = u**4 / 2 - c * u**3 / 3 - u**2 + c * u + 0.5 - 2.0 * c / 3.0
+        assert np.max(np.abs(_quartic_well(u, c) - expanded)) <= 4e-15
+        assert abs(_quartic_well(1.0, c)) <= 1e-15
+        assert abs(float(_quartic_well(np.array([1.0]), c)[0])) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3)])
+    def test_polynomial_matches_decoupled_builtin(self, decoupled_spec, shape):
+        poly = user_polynomial(2, quartic_well_terms((0.6, 1.2)), [1.0, 1.0],
+                               [[-2.0, 2.0], [-2.0, 2.0]])
+        u = np.random.default_rng(5).uniform(-2.0, 2.0, size=shape + (2,))
+        value = poly.value(u)
+        assert np.shape(value) == shape
+        np.testing.assert_allclose(value, decoupled_spec.value(u), rtol=0, atol=1e-13)
+        grad = poly.gradient(u)
+        assert grad.shape == shape + (2,)
+        np.testing.assert_allclose(grad, decoupled_spec.gradient(u), rtol=0, atol=1e-13)
+        for p in u.reshape(-1, 2):
+            np.testing.assert_allclose(poly.hessian(p), decoupled_spec.hessian(p),
+                                       rtol=0, atol=1e-13)
+
+    def test_batch_matches_points_across_chunks(self, monkeypatch):
+        # rows are processed in chunks; a short chunk makes a 3-row tail
+        monkeypatch.setattr(_Monomials, "CHUNK", 8)
+        terms = [(0.5, [4, 0, 1]), (-0.3, [2, 2, 0]), (1.1, [0, 1, 3]), (0.25, [0, 0, 0])]
+        poly = user_polynomial(3, terms, [0.0, 0.0, 0.0], [[-2.0, 2.0]] * 3)
+        u = np.random.default_rng(2).uniform(-2.0, 2.0, size=(19, 3))
+        values, grads = poly.value(u), poly.gradient(u)
+        for i, p in enumerate(u):
+            assert values[i] == float(poly.value(p))
+            np.testing.assert_array_equal(grads[i], poly.gradient(p))
+
+
+COUPLED_TERMS = [
+    (0.5, [4, 0]), (0.5, [0, 4]), (-0.7, [2, 2]), (0.3, [3, 1]),
+    (-0.2, [1, 3]), (-1.0, [2, 0]), (0.4, [1, 1]), (-0.6, [0, 2]), (0.25, [0, 0]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=st.floats(-1.9, 1.9), v=st.floats(-1.9, 1.9))
+def test_coupled_polynomial_derivatives_match_differences(u, v):
+    spec = user_polynomial(2, COUPLED_TERMS, [0.0, 0.0], [[-2.0, 2.0], [-2.0, 2.0]])
+    p = np.array([u, v])
+    g = spec.gradient(p)
+    H = spec.hessian(p)
+    np.testing.assert_array_equal(H, H.T)
+    h = 1e-5
+    fd_g = np.empty(2)
+    fd_H = np.empty((2, 2))
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        fd_g[k] = (float(spec.value(p + e)) - float(spec.value(p - e))) / (2 * h)
+        fd_H[:, k] = (spec.gradient(p + e) - spec.gradient(p - e)) / (2 * h)
+    assert np.linalg.norm(g - fd_g) <= 1e-7 * (1.0 + np.linalg.norm(g))
+    assert np.linalg.norm(H - fd_H) <= 1e-7 * (1.0 + np.linalg.norm(H))
+
+
 class TestValidate:
     def test_builtins_pass(self, scalar_spec, decoupled_spec):
         validate_spec(scalar_spec)
         validate_spec(decoupled_spec)
 
     def test_polynomial_matches_builtin(self, scalar_spec):
-        alpha = 0.6
-        terms = [(0.5, [4]), (-alpha / 3.0, [3]), (-1.0, [2]), (alpha, [1]),
-                 (0.5 - 2.0 * alpha / 3.0, [0])]
-        poly = user_polynomial(1, terms, [1.0], [[-2.0, 2.0]])
+        poly = user_polynomial(1, quartic_well_terms((0.6,)), [1.0], [[-2.0, 2.0]])
         validate_spec(poly)
         rng = np.random.default_rng(3)
         for _ in range(20):
