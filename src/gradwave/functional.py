@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, WeightOverflowError
 from .potential import PotentialConstants, PotentialSpec
-from .profile import Profile
+from .profile import Grid, Profile
 
 WEIGHT_EXP_CAP = 600.0
 
@@ -77,85 +77,97 @@ def cell_weights(grid, params: FunctionalParams) -> np.ndarray:
     return np.diff(ex) / c
 
 
-def _energy_terms(spec: PotentialSpec, params: FunctionalParams, profile: Profile, w=None):
-    """Shared fast path: (energy, penalty, node potential values, cell weights)."""
-    x = profile.grid.nodes
-    u = profile.values
-    h = np.diff(x)
-    E = cell_weights(profile.grid, params)
-    if w is None:
-        w = spec.value(u)
+class WeightedEnergy:
+    """Energy plus penalty of profiles on one grid at one speed, with its exact gradient.
 
-    du = (u[1:] - u[:-1]) / h[:, None]
-    kin = 0.5 * np.sum(du * du, axis=1)
-    pot = 0.5 * (w[:-1] + w[1:])
-    energy_val = float(np.sum(E * (kin + pot)))
+    Built once per (spec, params, grid): the cell weights, the stiffness
+    E/h^2, the lumped node weights and the penalty node weights are fixed
+    here, so an evaluation is array arithmetic on the node values alone.  The
+    node weights are stored at the (nodes, dim) shape of a profile, because
+    broadcasting a column against two or more components costs several times
+    a same-shape operation.  The penalty covers the cells right of 0, which
+    start at the node pinned at 0.
+    """
 
-    if params.penalty_kappa > 0:
-        p = np.square(np.minimum(w, 0.0))
-        right = x[:-1] >= 0.0
-        pen = params.penalty_kappa * float(np.sum(E[right] * 0.5 * (p[:-1] + p[1:])[right]))
-    else:
-        pen = 0.0
-    return energy_val, pen, w, E
+    def __init__(self, spec: PotentialSpec, params: FunctionalParams, grid: Grid):
+        h = np.diff(grid.nodes)
+        E = cell_weights(grid, params)
+        self.spec = spec
+        self.iz = iz = grid.index_zero
+        self.kappa = params.penalty_kappa
+        self.E = E
+        self.E_pen = E[iz:]
+
+        def per_node(cell_w):
+            # each node sums the weights of the cells on either side of it
+            node_w = np.zeros(cell_w.size + 1)
+            node_w[:-1] += cell_w
+            node_w[1:] += cell_w
+            return np.repeat(node_w[:, None], spec.dim, axis=1)
+
+        self.stiff = np.repeat((E / (h * h))[:, None], spec.dim, axis=1)
+        # lumped mass: each node carries half the weight of its two cells
+        self.lump = 0.5 * per_node(E)
+        self.pen_node_w = self.kappa * per_node(self.E_pen)
+
+    def value(self, u: np.ndarray):
+        """(energy, penalty, node potential values) of the node values u."""
+        w = self.spec.value(u)
+        du = u[1:] - u[:-1]
+        J = 0.5 * (float(np.vdot(self.stiff * du, du)) + float(np.dot(self.E, w[:-1] + w[1:])))
+        P = 0.0
+        wp = w[self.iz:]
+        if self.kappa > 0 and wp.min() < 0.0:
+            p = np.square(np.minimum(wp, 0.0))
+            P = self.kappa * 0.5 * float(np.dot(self.E_pen, p[:-1] + p[1:]))
+        return J, P, w
+
+    def grad(self, u: np.ndarray, w: np.ndarray):
+        """(gradient of energy + penalty, potential gradient) at u, given w = W(u).
+
+        The right boundary node is fixed at the reference well, so its row is
+        zero.  Node 0 is returned raw; constraint handling (projection onto
+        the zero level set) is the optimizer's job.
+        """
+        dw = np.asarray(self.spec.gradient(u), dtype=float)
+        g = self.lump * dw
+        t = self.stiff * (u[1:] - u[:-1])
+        g[:-1] -= t
+        g[1:] += t
+        wp = w[self.iz:]
+        if self.kappa > 0 and wp.min() < 0.0:
+            # d/du of max(0, -W)^2 is -2 max(0, -W) DW
+            g[self.iz:] -= self.pen_node_w * (np.maximum(-wp, 0.0)[:, None] * dw[self.iz:])
+        g[-1] = 0.0
+        return g, dw
+
+    def violation(self, w: np.ndarray) -> float:
+        """How far the potential dips below 0 at the nodes right of 0."""
+        return max(0.0, -float(np.min(w[self.iz + 1:])))
 
 
 def energy(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
     """Weighted energy of the profile over the truncated grid (penalty excluded)."""
     if not np.array_equal(profile.well_b, np.asarray(spec.well_b, dtype=float)):
         raise ContractViolationError("profile right boundary does not match the potential well")
-    val, _, _, _ = _energy_terms(spec, params, profile)
-    return val
+    return WeightedEnergy(spec, params, profile.grid).value(profile.values)[0]
 
 
 def penalty_energy(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
     """Quadratic penalty on the negative part of the potential right of 0."""
-    _, pen, _, _ = _energy_terms(spec, params, profile)
-    return pen
+    return WeightedEnergy(spec, params, profile.grid).value(profile.values)[1]
 
 
 def energy_gradient(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> np.ndarray:
-    """Exact gradient of energy + penalty with respect to node values.
-
-    The right boundary node is fixed at the reference well, so its row is
-    zero.  Node 0 is returned raw; constraint handling (projection onto the
-    zero level set) is the optimizer's job.
-    """
-    x = profile.grid.nodes
-    u = profile.values
-    h = np.diff(x)
-    E = cell_weights(profile.grid, params)
-    w = spec.value(u)
-    dw = np.asarray(spec.gradient(u), dtype=float)
-
-    g = np.zeros_like(u)
-    t = (E / (h * h))[:, None] * (u[1:] - u[:-1])
-    g[:-1] -= t
-    g[1:] += t
-
-    node_w = np.zeros(x.size)
-    node_w[:-1] += E
-    node_w[1:] += E
-    g += 0.5 * node_w[:, None] * dw
-
-    if params.penalty_kappa > 0:
-        right = x[:-1] >= 0.0
-        node_wr = np.zeros(x.size)
-        node_wr[:-1][right] += E[right]
-        node_wr[1:][right] += E[right]
-        # d/du of max(0, -W)^2 is -2 max(0, -W) DW
-        g += params.penalty_kappa * 0.5 * node_wr[:, None] * (
-            -2.0 * np.maximum(-w, 0.0)[:, None] * dw
-        )
-
-    g[-1] = 0.0
-    return g
+    """Exact gradient of energy + penalty with respect to node values."""
+    op = WeightedEnergy(spec, params, profile.grid)
+    return op.grad(profile.values, spec.value(profile.values))[0]
 
 
 def objective(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
     """Energy plus penalty, the quantity the minimizer descends."""
-    val, pen, _, _ = _energy_terms(spec, params, profile)
-    return val + pen
+    J, P, _ = WeightedEnergy(spec, params, profile.grid).value(profile.values)
+    return J + P
 
 
 def compute_bounds(spec: PotentialSpec, consts: PotentialConstants, c: float) -> BoundsReport:

@@ -12,15 +12,20 @@ and the profile is recentered if the constraint crossing drifts.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, InfeasibleMinimizerError, WaveSolverError
-from .functional import BoundsReport, FunctionalParams, cell_weights, compute_bounds
+from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds
 from .potential import PotentialConstants, PotentialSpec, project_to_zero_set
 from .profile import Grid, Profile, initial_profile, translate_to_crossing
+
+# Nothing here calls these two: perfbench/layertrace.py wraps them by name until
+# the next benchmark change points it at the dpttrs solve (ROADMAP item 1).
+from scipy.linalg import cho_solve_banded  # noqa: F401
+from .functional import cell_weights  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,6 @@ class MinimizeOptions:
 
     opt_tol: float = 1e-8
     max_iters: int = 200_000
-    step_policy: str = "backtracking-armijo"
     armijo_c1: float = 1e-4
     armijo_shrink: float = 0.5
     restarts: int = 3
@@ -41,8 +45,6 @@ class MinimizeOptions:
             raise ContractViolationError("opt_tol and max_iters must be positive")
         if not (0 < self.armijo_c1 < 1 and 0 < self.armijo_shrink < 1):
             raise ContractViolationError("Armijo constants must lie in (0, 1)")
-        if self.step_policy != "backtracking-armijo":
-            raise ContractViolationError(f"unknown step policy '{self.step_policy}'")
 
 
 @dataclass(frozen=True)
@@ -85,98 +87,46 @@ _PLATEAU_SPAN = 60
 _PLATEAU_F_GAIN = 3e-11
 
 
-def _factor_preconditioner(grid: Grid, params: FunctionalParams, sigma: float):
-    """Cholesky factor of the weighted H^1 operator, right node removed."""
-    x = grid.nodes
-    h = np.diff(x)
-    E = cell_weights(grid, params)
-    stiff = E / (h * h)
-    lump = np.zeros(x.size)
-    lump[:-1] += 0.5 * E
-    lump[1:] += 0.5 * E
-
+def _factor_preconditioner(op: WeightedEnergy, sigma: float):
+    """LDL^T factor of the tridiagonal weighted H^1 operator, right node removed."""
+    stiff = op.stiff[:, 0]
+    lump = op.lump[:, 0]
     # free nodes are 0..N-2; cell k couples nodes k and k+1, and the last cell
     # couples node N-2 to the fixed right node, adding only to the diagonal
-    n_free = x.size - 1
     diag = sigma * lump[:-1] + stiff
     diag[1:] += stiff[:-1]
-    upper = -stiff[:-1]
-    ab = np.zeros((2, n_free))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    return (cholesky_banded(ab, lower=False), False), lump
+    d, e, info = dpttrf(diag, -stiff[:-1])
+    if info != 0:
+        raise WaveSolverError(f"preconditioner is not positive definite (dpttrf info {info})")
+    return d, e
 
 
 def _tangential(v, normal):
-    nrm = np.linalg.norm(normal)
+    nrm = np.sqrt(normal @ normal)
     if nrm < 1e-12:
         return v
     nhat = normal / nrm
-    return v - np.dot(v, nhat) * nhat
-
-
-def _feasibility_violation(grid: Grid, w: np.ndarray) -> float:
-    right = grid.nodes > 0.0
-    if not np.any(right):
-        return 0.0
-    return float(max(0.0, -np.min(w[right])))
+    return v - (v @ nhat) * nhat
 
 
 def _descent(spec, params, grid, values0, opts):
     """One descent run from a given admissible starting array.
 
-    Exits converged when the displacement norm meets opt_tol, or when the
-    line search can no longer resolve a decrease in double precision while
-    the displacement norm is already far below any physical scale.
+    Returns the final node values, energy, feasibility violation,
+    displacement norm, iteration count and convergence flag.  Exits converged
+    when the displacement norm meets opt_tol, or when the line search can no
+    longer resolve a decrease in double precision while the displacement norm
+    is already far below any physical scale.
     """
-    x = grid.nodes
-    h = np.diff(x)
-    E = cell_weights(grid, params)
+    op = WeightedEnergy(spec, params, grid)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
-    factor, lump = _factor_preconditioner(grid, params, sigma=1.0 + mu_b)
+    d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)
     well = np.asarray(spec.well_b, dtype=float)
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
 
-    stiff = (E / (h * h))[:, None]
-    h_col = h[:, None]
-    node_w = np.zeros(x.size)
-    node_w[:-1] += E
-    node_w[1:] += E
-    right_cells = x[:-1] >= 0.0
-    E_right = E[right_cells]
-    node_wr = np.zeros(x.size)
-    node_wr[:-1][right_cells] += E_right
-    node_wr[1:][right_cells] += E_right
-    kappa = params.penalty_kappa
-
-    def objective(values):
-        w = spec.value(values)
-        du = (values[1:] - values[:-1]) / h_col
-        kin = 0.5 * np.einsum("ij,ij->i", du, du)
-        pot = 0.5 * (w[:-1] + w[1:])
-        J = float(np.dot(E, kin + pot))
-        if kappa > 0:
-            p = np.square(np.minimum(w, 0.0))
-            P = kappa * 0.5 * float(np.dot(E_right, (p[:-1] + p[1:])[right_cells]))
-        else:
-            P = 0.0
-        return J, P, w
-
-    def gradient(values, w):
-        g = np.zeros_like(values)
-        t = stiff * (values[1:] - values[:-1])
-        g[:-1] -= t
-        g[1:] += t
-        dw = np.asarray(spec.gradient(values), dtype=float)
-        g += 0.5 * node_w[:, None] * dw
-        if kappa > 0:
-            g -= kappa * node_wr[:, None] * (np.maximum(-w, 0.0)[:, None] * dw)
-        g[-1] = 0.0
-        return g
-
     u = values0.copy()
-    J, P, w = objective(u)
+    J, P, w = op.value(u)
     F = J + P
     t = 1.0
     last_backtracks = 0
@@ -188,16 +138,16 @@ def _descent(spec, params, grid, values0, opts):
     plateau_F = F
 
     for iterations in range(1, opts.max_iters + 1):
-        nu0 = np.asarray(spec.gradient(u[iz]), dtype=float)
-        g = gradient(u, w)
+        g, dw = op.grad(u, w)
+        nu0 = dw[iz]
         g[iz] = _tangential(g[iz], nu0)
 
         d = np.empty_like(u)
-        d[:-1] = cho_solve_banded(factor, g[:-1])
+        d[:-1] = dpttrs(d_fac, e_fac, g[:-1])[0]
         d[-1] = 0.0
         d[iz] = _tangential(d[iz], nu0)
 
-        pg_norm = float(np.sqrt(np.einsum("i,ij,ij->", lump, d, d)))
+        pg_norm = float(np.sqrt(np.vdot(op.lump * d, d)))
         if pg_norm <= opts.opt_tol:
             converged = True
             break
@@ -212,10 +162,10 @@ def _descent(spec, params, grid, values0, opts):
             converged = pg_norm <= _FLOOR_PG_CAP
             break
 
-        slope = float(np.einsum("ij,ij->", g, d))
+        slope = float(np.vdot(g, d))
         if slope <= 0.0:
-            d = g / (1.0 + lump[:, None])
-            slope = float(np.einsum("ij,ij->", g, d))
+            d = g / (1.0 + op.lump)
+            slope = float(np.vdot(g, d))
             if slope <= 0.0:
                 converged = pg_norm <= _FLOOR_PG_CAP
                 break
@@ -234,7 +184,7 @@ def _descent(spec, params, grid, values0, opts):
                 t *= opts.armijo_shrink
                 n_back += 1
                 continue
-            J_t, P_t, w_t = objective(trial)
+            J_t, P_t, w_t = op.value(trial)
             if J_t + P_t <= F - opts.armijo_c1 * t * slope:
                 u, J, P, w, F = trial, J_t, P_t, w_t, J_t + P_t
                 accepted = True
@@ -246,13 +196,13 @@ def _descent(spec, params, grid, values0, opts):
             converged = pg_norm <= _FLOOR_PG_CAP
             break
 
-        if _feasibility_violation(grid, w) > _RETRANSLATE_TRIGGER:
+        if op.violation(w) > _RETRANSLATE_TRIGGER:
             prof = translate_to_crossing(spec, Profile(grid=grid, values=u, well_b=well))
             u = prof.values.copy()
-            J, P, w = objective(u)
+            J, P, w = op.value(u)
             F = J + P
 
-    return u, J, w, pg_norm, iterations, converged
+    return u, J, op.violation(w), pg_norm, iterations, converged
 
 
 def _perturbed(rng, grid, values, well_b, scale):
@@ -309,9 +259,8 @@ def minimize_profile(
     runs = []
     total_iters = 0
     for v0 in starts:
-        u, J, w, pg, iters, conv = _descent(spec, params, grid, v0, opts)
+        u, J, viol, pg, iters, conv = _descent(spec, params, grid, v0, opts)
         total_iters += iters
-        viol = _feasibility_violation(grid, w)
         runs.append((J, viol, u, pg, conv))
 
     feasible = [r for r in runs if r[1] <= opts.feas_tol]
@@ -366,16 +315,11 @@ def minimize_from_seeds(
     if len(seeds) == 1:
         return minimize_profile(spec, consts, params, grid, seeds[0], opts)
 
-    budget_opts = MinimizeOptions(
-        opt_tol=opts.opt_tol, max_iters=budget,
-        armijo_c1=opts.armijo_c1, armijo_shrink=opts.armijo_shrink,
-        restarts=0, seed=opts.seed, feas_tol=opts.feas_tol,
-    )
+    budget_opts = replace(opts, max_iters=budget, restarts=0)
     scored = []
     for init in seeds:
         base = translate_to_crossing(spec, init)
-        u, J, w, pg, iters, conv = _descent(spec, params, grid, base.values, budget_opts)
-        viol = _feasibility_violation(grid, w)
+        u, J, viol, pg, iters, conv = _descent(spec, params, grid, base.values, budget_opts)
         penalty_rank = 0.0 if viol <= opts.feas_tol else 1e6 + viol
         scored.append((J + penalty_rank, u))
     _, u_best = min(scored, key=lambda s: s[0])
@@ -424,12 +368,8 @@ def gamma_curve(
                 res = minimize_profile(spec, consts, params, grid,
                                        initial_profile(spec, consts, grid), opts)
             else:
-                warm_opts = MinimizeOptions(
-                    opt_tol=opts.opt_tol, max_iters=opts.max_iters,
-                    armijo_c1=opts.armijo_c1, armijo_shrink=opts.armijo_shrink,
-                    restarts=0, seed=opts.seed, feas_tol=opts.feas_tol,
-                )
-                res = minimize_profile(spec, consts, params, grid, warm, warm_opts)
+                res = minimize_profile(spec, consts, params, grid, warm,
+                                       replace(opts, restarts=0))
         except WaveSolverError as err:
             err.partial_results = results  # type: ignore[attr-defined]
             raise

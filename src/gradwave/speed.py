@@ -103,18 +103,6 @@ def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndar
     return points
 
 
-def _probe_opts(opts: MinimizeOptions) -> MinimizeOptions:
-    return MinimizeOptions(
-        opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL),
-        max_iters=opts.max_iters,
-        armijo_c1=opts.armijo_c1,
-        armijo_shrink=opts.armijo_shrink,
-        restarts=0,
-        seed=opts.seed,
-        feas_tol=opts.feas_tol,
-    )
-
-
 def find_speed(
     spec: PotentialSpec,
     consts: PotentialConstants,
@@ -139,7 +127,7 @@ def find_speed(
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
     evaluated: dict[float, GammaResult] = {}
     probes: list[tuple[float, float]] = []
-    probe_opts = _probe_opts(opts)
+    probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL), restarts=0)
     wells = seed_points(spec, consts)
 
     def cold(c: float, sub: Grid, run_opts: MinimizeOptions) -> GammaResult:

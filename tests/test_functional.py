@@ -19,6 +19,22 @@ from gradwave.functional import objective
 from conftest import J_WAVE_C03, PENALTY_CELL, X0_TANH
 
 
+def dip_profile(spec):
+    """Profile at b = 1 except u with W(u) = -0.1 on [1, 2], right of 0."""
+    lo, hi = -0.999, 0.5
+    for _ in range(200):  # u with W(u) = -0.1 on the negative slope
+        mid = 0.5 * (lo + hi)
+        if float(spec.value(np.array([mid]))) < -0.1:
+            lo = mid
+        else:
+            hi = mid
+    g = Grid.uniform(-3.0, 4.0, 0.01)
+    vals = np.ones((g.n_nodes, 1))
+    inside = (g.nodes >= 1.0) & (g.nodes <= 2.0)
+    vals[inside, 0] = 0.5 * (lo + hi)
+    return Profile(grid=g, values=vals, well_b=np.array([1.0])), np.nonzero(inside)[0]
+
+
 def analytic_profile(h=0.002, x_left=-70.0, x_right=25.0, shift_x=X0_TANH):
     grid = Grid.uniform(x_left, x_right, h)
     vals = np.tanh(grid.nodes + shift_x)[:, None]
@@ -87,19 +103,7 @@ class TestPenalty:
     def test_dip_cell_matches_closed_form(self, scalar_spec):
         # potential dips to -0.1 on the cell [1, 2]; closed-form weight
         # integral gives kappa * 0.01 * (e^2 - e)
-        lo, hi = -0.999, 0.5
-        for _ in range(200):  # u with W(u) = -0.1 on the negative slope
-            mid = 0.5 * (lo + hi)
-            if float(scalar_spec.value(np.array([mid]))) < -0.1:
-                lo = mid
-            else:
-                hi = mid
-        u_dip = 0.5 * (lo + hi)
-        g = Grid.uniform(-3.0, 4.0, 0.01)
-        vals = np.ones((g.n_nodes, 1))
-        inside = (g.nodes >= 1.0) & (g.nodes <= 2.0)
-        vals[inside, 0] = u_dip
-        p = Profile(grid=g, values=vals, well_b=np.array([1.0]))
+        p, _ = dip_profile(scalar_spec)
         pen = penalty_energy(scalar_spec, FunctionalParams(c=1.0, penalty_kappa=10.0), p)
         assert pen == pytest.approx(PENALTY_CELL, abs=0.02)
 
@@ -139,6 +143,22 @@ class TestGradient:
                         - objective(spec, params, p.with_values(vm))
                     ) / (2 * eps)
                     assert grad[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+    def test_matches_with_active_penalty(self, scalar_spec):
+        p, dip = dip_profile(scalar_spec)
+        params = FunctionalParams(c=1.0, penalty_kappa=10.0)
+        assert penalty_energy(scalar_spec, params, p) > 0
+        grad = energy_gradient(scalar_spec, params, p)
+        eps = 1e-6
+        for i in dip:
+            vp, vm = p.values.copy(), p.values.copy()
+            vp[i, 0] += eps
+            vm[i, 0] -= eps
+            fd = (
+                objective(scalar_spec, params, p.with_values(vp))
+                - objective(scalar_spec, params, p.with_values(vm))
+            ) / (2 * eps)
+            assert grad[i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
     def test_matches_on_refined_grid(self, scalar_spec, scalar_consts):
         g = Grid.refined(-5.0, 4.0, 0.2, h_min=0.02)

@@ -8,11 +8,17 @@ from gradwave import (
     Grid,
     MinimizeOptions,
     Profile,
+    WaveSolverError,
+    compute_bounds,
     derivative,
     initial_profile,
     minimize_profile,
 )
+from gradwave.functional import WeightedEnergy, cell_weights
+from gradwave.minimize import _factor_preconditioner
 from gradwave.potential import PROJ_TOL
+from gradwave.speed import speed_subgrid
+from scipy.linalg.lapack import dpttrs
 from conftest import make_grid
 
 
@@ -191,3 +197,41 @@ class TestErrors:
         p = Profile(grid=g, values=vals, well_b=np.array([0.0]))
         with pytest.raises(ContractViolationError):
             energy(scalar_spec, FunctionalParams(c=0.5), p)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("builtin, c", [("scalar", 0.6), ("decoupled", 1.2)])
+    def test_solve_matches_dense(self, builtin, c, scalar_spec, decoupled_spec,
+                                 scalar_consts, decoupled_consts):
+        spec = scalar_spec if builtin == "scalar" else decoupled_spec
+        consts = scalar_consts if builtin == "scalar" else decoupled_consts
+        # the default truncation at a coarser spacing keeps the dense operator
+        # small; the cell weights still span dozens of orders of magnitude
+        lo = compute_bounds(spec, consts, 1.0).bracket_lo
+        grid = speed_subgrid(make_grid(consts, lo, h=0.05), consts, c)
+        params = FunctionalParams(c=c)
+        sigma = 1.0 + float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
+        d, e = _factor_preconditioner(WeightedEnergy(spec, params, grid), sigma)
+
+        # weighted H^1 operator on the free nodes 0..N-2, assembled cell by cell
+        E = cell_weights(grid, params)
+        stiff = E / np.diff(grid.nodes) ** 2
+        n = grid.n_nodes - 1
+        A = np.zeros((n, n))
+        for k in range(n):
+            A[k, k] += stiff[k] + 0.5 * sigma * E[k]
+            if k + 1 < n:
+                A[k + 1, k + 1] += stiff[k] + 0.5 * sigma * E[k]
+                A[k, k + 1] -= stiff[k]
+                A[k + 1, k] -= stiff[k]
+        rhs = np.random.default_rng(3).standard_normal((n, 2))
+        sol, info = dpttrs(d, e, rhs)
+        assert info == 0
+        ref = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_indefinite_operator_raises(self, scalar_spec):
+        grid = Grid.uniform(-5.0, 5.0, 0.1)
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.6), grid)
+        with pytest.raises(WaveSolverError, match="dpttrf"):
+            _factor_preconditioner(op, sigma=-1e3)
