@@ -6,9 +6,10 @@ region {W < 0} is non-empty and bounded.  This module defines the potential
 container, the built-in families, the analytic constants used by the energy
 bounds, and projection onto the zero level set {W = 0}.
 
-Evaluation callbacks are vectorized: ``value`` maps an array of shape
-(..., dim) to (...,), ``gradient`` maps (..., dim) to (..., dim) and
-``hessian`` maps a single point (dim,) to a symmetric (dim, dim) matrix.
+Evaluation callbacks are vectorized over rows: ``value`` maps an array of
+shape (..., dim) to (...,), ``gradient`` maps (..., dim) to (..., dim) and
+``hessian`` maps (..., dim) to symmetric (..., dim, dim) matrices, so a
+single point (dim,) gives one (dim, dim) matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ NEG_TOL = 1e-12
 class PotentialSpec:
     """A potential together with its derivatives and search box.
 
+    ``value``, ``gradient`` and ``hessian`` take points of shape (..., dim)
+    and return shapes (...,), (..., dim) and (..., dim, dim).
     ``bounding_box`` has shape (dim, 2) and must contain the negative region
     {W < 0}; the built-in families use [-2, 2]^dim.
     """
@@ -130,7 +133,7 @@ def scalar_cubic(alpha: float) -> PotentialSpec:
 
     def hessian(u):
         u = np.asarray(u, dtype=float)
-        return np.array([[_quartic_well_d2(u[0], alpha)]])
+        return _quartic_well_d2(u, alpha)[..., None]
 
     return PotentialSpec(
         dim=1,
@@ -168,10 +171,10 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
 
     def hessian(u):
         u = np.asarray(u, dtype=float)
-        return np.diag([
-            _quartic_well_d2(u[0], alpha),
-            _quartic_well_d2(u[1], beta),
-        ])
+        out = np.zeros(u.shape + (2,))
+        out[..., 0, 0] = _quartic_well_d2(u[..., 0], alpha)
+        out[..., 1, 1] = _quartic_well_d2(u[..., 1], beta)
+        return out
 
     return PotentialSpec(
         dim=2,
@@ -235,7 +238,7 @@ class _Monomials:
     def _rows(self, u):
         n = u.shape[0]
         out = np.zeros((self.n_slots, n))
-        size = min(n, self.CHUNK)
+        size = max(1, min(n, self.CHUNK))
         powers = [np.empty((top + 1, size)) for top in self.top]
         tmp_full = np.empty(size)
         for start in range(0, n, size):
@@ -312,7 +315,8 @@ def user_polynomial(
 
     def hessian(u):
         # entries (k, l) and (l, k) sum the same terms in the same order: symmetric
-        return hessians(np.asarray(u, dtype=float)).reshape(dim, dim)
+        u = np.asarray(u, dtype=float)
+        return hessians(u).reshape(u.shape[:-1] + (dim, dim))
 
     return PotentialSpec(
         dim=dim,
@@ -427,11 +431,11 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
         raise AssumptionViolationError("no negative region found inside the bounding box")
 
     # deepest well: refine from the best few scan cells
-    order = np.argsort(w)
+    order = _smallest(w, 32)
     best_val = np.inf
     best_pt = pts[order[0]]
     tried: list[np.ndarray] = []
-    for idx in order[:32]:
+    for idx in order:
         p0 = pts[idx]
         if any(np.linalg.norm(p0 - t) < 0.05 * np.max(hi - lo) for t in tried):
             continue
@@ -469,9 +473,9 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
     # distance from b to the negative region: nearest negative scan points,
     # refined by bisecting each segment from b for its first sign change
     dist = np.linalg.norm(pts[neg] - b, axis=1)
-    near_order = np.argsort(dist)
+    near_order = _smallest(dist, 16)
     d = float(dist[near_order[0]])
-    for idx in np.flatnonzero(neg)[near_order[:16]]:
+    for idx in np.flatnonzero(neg)[near_order]:
         p = pts[idx]
         t_cross = _first_negative_crossing(spec, b, p)
         if t_cross is not None:
@@ -487,6 +491,21 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
         )
 
     return PotentialConstants(m=float(m), point_a=point_a, M=float(M), d=float(d), mu=mu)
+
+
+def _smallest(x: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest entries of x, ordered by (value, index).
+
+    The same indices as ``np.argsort(x, kind="stable")[:k]``, without sorting
+    all of x: a partition finds the k-th smallest value, and only the entries
+    up to it, ties at the cut included, are sorted.
+    """
+    idx = np.arange(x.size)
+    if k < x.size:
+        kth = x[np.argpartition(x, k - 1)[k - 1]]
+        if not np.isnan(kth):
+            idx = np.flatnonzero(x <= kth)
+    return idx[np.lexsort((idx, x[idx]))][:k]
 
 
 def _first_negative_crossing(spec: PotentialSpec, b, p, samples: int = 2001):
@@ -510,6 +529,35 @@ def _first_negative_crossing(spec: PotentialSpec, b, p, samples: int = 2001):
     return 0.5 * (t_lo + t_hi)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of each row of an (n, dim) array.
+
+    Each row is one dot product, the reduction ``np.linalg.norm`` uses for a
+    single vector, so a batch agrees bit for bit with a loop over its rows.
+    """
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _newton_steps(H: np.ndarray, g: np.ndarray):
+    """Newton steps -H^-1 g for stacked systems, with the rows that solved.
+
+    A batched solve raises for the whole stack if one Hessian is singular;
+    the stack is then solved row by row, so only the singular rows fail.
+    """
+    try:
+        return -np.linalg.solve(H, g[..., None])[..., 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(g)
+    solved = np.ones(len(g), dtype=bool)
+    for i in range(len(g)):
+        try:
+            step[i] = -np.linalg.solve(H[i], g[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return step, solved
+
+
 def find_equilibria(
     spec: PotentialSpec,
     per_axis: int = 15,
@@ -518,63 +566,77 @@ def find_equilibria(
 ) -> list[np.ndarray]:
     """Critical points of the potential with negative value, inside the box.
 
-    Damped Newton on the gradient from a coarse grid of starting points;
-    converged roots are deduplicated.  This realizes the equilibria set that
-    the left tail of a wave profile can approach.
+    Damped Newton on the gradient from a coarse grid of starting points, all
+    starts advanced together: each iteration makes one gradient, one Hessian
+    and one solve call on the starts still running, and a backtracking line
+    search (lam = 1, 1/2, ... while lam > 1e-6) accepts the first step that
+    lowers |DW|.  A start stops when |DW| <= tol (converged), when its
+    Hessian is singular or its line search finds no decrease (failed), or
+    after ``max_iter`` iterations (failed).  Converged roots inside the box
+    with W < -NEG_TOL are deduplicated in start order.  This realizes the
+    equilibria set that the left tail of a wave profile can approach.
     """
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
     per_axis = per_axis if spec.dim <= 2 else max(5, int(round(3000 ** (1 / spec.dim))))
     axes = [np.linspace(a, b, per_axis) for a, b in spec.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    starts = np.stack([m.ravel() for m in mesh], axis=-1)
+    q_all = np.stack([m.ravel() for m in mesh], axis=-1)
     step_cap = 0.25 * float(np.linalg.norm(hi - lo))
 
-    found: list[np.ndarray] = []
-    for q0 in starts:
-        q = q0.astype(float).copy()
-        ok = False
-        for _ in range(max_iter):
-            g = np.asarray(spec.gradient(q), dtype=float)
-            gn = float(np.linalg.norm(g))
-            if gn <= tol:
-                ok = True
-                break
-            H = np.asarray(spec.hessian(q), dtype=float)
-            try:
-                step = -np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            sl = float(np.linalg.norm(step))
-            if sl > step_cap:
-                step *= step_cap / sl
-            lam = 1.0
-            while lam > 1e-6:
-                q_new = q + lam * step
-                if float(np.linalg.norm(spec.gradient(q_new))) < gn:
-                    break
-                lam *= 0.5
-            else:
-                break
-            q = q_new
-        if not ok:
+    converged = np.zeros(len(q_all), dtype=bool)
+    active = np.arange(len(q_all))
+    for _ in range(max_iter):
+        q = q_all[active]
+        g = np.asarray(spec.gradient(q), dtype=float)
+        gn = _row_norms(g)
+        done = gn <= tol
+        converged[active[done]] = True
+        run = ~done
+        active, q, g, gn = active[run], q[run], g[run], gn[run]
+        if not active.size:
+            break
+        step, run = _newton_steps(np.asarray(spec.hessian(q), dtype=float), g)
+        active, q, gn, step = active[run], q[run], gn[run], step[run]
+        sl = _row_norms(step)
+        capped = sl > step_cap
+        step[capped] *= (step_cap / sl[capped])[:, None]
+
+        moved = np.zeros(len(active), dtype=bool)
+        trying = np.arange(len(active))
+        lam = 1.0
+        while lam > 1e-6 and trying.size:
+            trial = q[trying] + lam * step[trying]
+            better = _row_norms(np.asarray(spec.gradient(trial), dtype=float)) < gn[trying]
+            q[trying[better]] = trial[better]
+            moved[trying[better]] = True
+            trying = trying[~better]
+            lam *= 0.5
+        q_all[active[moved]] = q[moved]
+        active = active[moved]
+        if not active.size:
+            break
+
+    roots = q_all[converged]
+    inside = ~(np.any(roots < lo - 1e-9, axis=1) | np.any(roots > hi + 1e-9, axis=1))
+    roots = roots[inside]
+    roots = roots[~(np.asarray(spec.value(roots), dtype=float) >= -NEG_TOL)]
+    found = np.empty_like(roots)
+    n_found = 0
+    for q in roots:
+        if n_found and np.any(_row_norms(q - found[:n_found]) < 1e-6):
             continue
-        if np.any(q < lo - 1e-9) or np.any(q > hi + 1e-9):
-            continue
-        if float(spec.value(q)) >= -NEG_TOL:
-            continue
-        if any(np.linalg.norm(q - p) < 1e-6 for p in found):
-            continue
-        found.append(q)
-    return found
+        found[n_found] = q
+        n_found += 1
+    return list(found[:n_found])
 
 
 def well_minima(spec: PotentialSpec) -> list[np.ndarray]:
     """Equilibria with negative potential that are local minima (definite Hessian)."""
-    wells = []
-    for q in find_equilibria(spec):
-        if np.linalg.eigvalsh(spec.hessian(q))[0] > 0:
-            wells.append(q)
-    return wells
+    eq = find_equilibria(spec)
+    if not eq:
+        return []
+    lowest = np.linalg.eigvalsh(np.asarray(spec.hessian(np.array(eq)), dtype=float))[:, 0]
+    return [q for q, e in zip(eq, lowest) if e > 0]
 
 
 def project_to_zero_set(

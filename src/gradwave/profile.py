@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ContractViolationError, NoCrossingError
 from .potential import NEG_TOL, PotentialConstants, PotentialSpec, project_to_zero_set
 
-PROJ_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Grid:

@@ -47,7 +47,6 @@ class VerifyReport:
     el_residual: float
     first_integral_residual: float
     halfline_identity_residuals: tuple
-    a15_residual: float
     jump_gap: float
     decay_lambda_fit: float
     decay_lambda_theory: float
@@ -390,7 +389,6 @@ def run_verify(
     profile: Profile,
     gamma_hat: float,
     thresholds: VerifyThresholds | None = None,
-    with_shooting: bool = True,
 ) -> VerifyReport:
     """Assemble the full certification report for a candidate pair."""
     th = thresholds or VerifyThresholds()
@@ -426,23 +424,19 @@ def run_verify(
     # which equilibrium the left tail approaches is reported, never asserted
     checks["dist_to_equilibria"] = (dist_e, None, True)
 
-    if with_shooting:
-        try:
-            sg = shooting_check(spec, consts, c, profile)
-            shoot_ok = sg <= th.shooting_gap
-        except WaveSolverError:
-            sg = float("inf")
-            shoot_ok = False
-        checks["shooting_gap"] = (sg, th.shooting_gap, shoot_ok)
-    else:
-        sg = float("nan")
+    try:
+        sg = shooting_check(spec, consts, c, profile)
+        shoot_ok = sg <= th.shooting_gap
+    except WaveSolverError:
+        sg = float("inf")
+        shoot_ok = False
+    checks["shooting_gap"] = (sg, th.shooting_gap, shoot_ok)
 
     passed = all(ok for _, _, ok in checks.values())
     return VerifyReport(
         el_residual=el,
         first_integral_residual=fi,
         halfline_identity_residuals=(r_right, r_left),
-        a15_residual=r_slope,
         jump_gap=jg,
         decay_lambda_fit=lam_fit,
         decay_lambda_theory=lam_theory,

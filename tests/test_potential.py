@@ -19,7 +19,7 @@ from gradwave import (
     user_polynomial,
     validate_spec,
 )
-from gradwave.potential import _Monomials, _quartic_well
+from gradwave.potential import NEG_TOL, _Monomials, _quartic_well, _smallest, well_minima
 from conftest import D_DECOUPLED, D_SCALAR, M_SEG_DECOUPLED, U_STAR
 
 
@@ -203,6 +203,25 @@ def test_coupled_polynomial_derivatives_match_differences(u, v):
     assert np.linalg.norm(H - fd_H) <= 1e-7 * (1.0 + np.linalg.norm(H))
 
 
+def coupled_spec():
+    return user_polynomial(2, COUPLED_TERMS, [0.0, 0.0], [[-2.0, 2.0], [-2.0, 2.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scalar_cubic(0.6), lambda: decoupled_quartic(0.6, 1.2), coupled_spec,
+], ids=["scalar", "decoupled", "coupled"])
+@pytest.mark.parametrize("lead", [(), (7,), (5, 3)])
+def test_hessian_rows_match_points(make, lead):
+    spec = make()
+    dim = spec.dim
+    u = np.random.default_rng(6).uniform(-2.0, 2.0, size=lead + (dim,))
+    H = spec.hessian(u)
+    assert H.shape == lead + (dim, dim)
+    points = np.stack([spec.hessian(p) for p in u.reshape(-1, dim)])
+    np.testing.assert_array_equal(H, points.reshape(H.shape))
+    np.testing.assert_array_equal(H, np.swapaxes(H, -1, -2))
+
+
 class TestValidate:
     def test_builtins_pass(self, scalar_spec, decoupled_spec):
         validate_spec(scalar_spec)
@@ -292,3 +311,100 @@ class TestEquilibria:
         found = {tuple(np.round(q, 6)) for q in eq}
         for well in [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]:
             assert any(np.allclose(well, q, atol=1e-6) for q in found)
+
+
+def serial_find_equilibria(spec, per_axis=15, tol=1e-10, max_iter=60):
+    """Reference: damped Newton from each start in turn, one point at a time."""
+    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
+    per_axis = per_axis if spec.dim <= 2 else max(5, int(round(3000 ** (1 / spec.dim))))
+    axes = [np.linspace(a, b, per_axis) for a, b in spec.bounding_box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    starts = np.stack([m.ravel() for m in mesh], axis=-1)
+    step_cap = 0.25 * float(np.linalg.norm(hi - lo))
+
+    found: list[np.ndarray] = []
+    for q0 in starts:
+        q = q0.astype(float).copy()
+        ok = False
+        for _ in range(max_iter):
+            g = np.asarray(spec.gradient(q), dtype=float)
+            gn = float(np.linalg.norm(g))
+            if gn <= tol:
+                ok = True
+                break
+            H = np.asarray(spec.hessian(q), dtype=float)
+            try:
+                step = -np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                break
+            sl = float(np.linalg.norm(step))
+            if sl > step_cap:
+                step *= step_cap / sl
+            lam = 1.0
+            while lam > 1e-6:
+                q_new = q + lam * step
+                if float(np.linalg.norm(spec.gradient(q_new))) < gn:
+                    break
+                lam *= 0.5
+            else:
+                break
+            q = q_new
+        if not ok:
+            continue
+        if np.any(q < lo - 1e-9) or np.any(q > hi + 1e-9):
+            continue
+        if float(spec.value(q)) >= -NEG_TOL:
+            continue
+        if any(np.linalg.norm(q - p) < 1e-6 for p in found):
+            continue
+        found.append(q)
+    return found
+
+
+def serial_well_minima(spec, equilibria):
+    """Reference: the equilibria whose Hessian, decomposed one at a time, is definite."""
+    wells = []
+    for q in equilibria:
+        if np.linalg.eigvalsh(spec.hessian(q))[0] > 0:
+            wells.append(q)
+    return wells
+
+
+# W = u1^4/4 - u1^2/2 + u2^4: the Hessian is singular on the start row u2 = 0
+SINGULAR_TERMS = [(0.25, [4, 0]), (-0.5, [2, 0]), (1.0, [0, 4])]
+
+REFERENCE_SPECS = {
+    "scalar": lambda: scalar_cubic(0.6),
+    "decoupled": lambda: decoupled_quartic(0.6, 1.2),
+    "poly3": lambda: user_polynomial(3, quartic_well_terms((0.6, 0.9, 1.2)), [1.0] * 3,
+                                     [[-2.0, 2.0]] * 3),
+    "poly3_reordered": lambda: user_polynomial(3, quartic_well_terms((1.2, 0.6, 0.9)),
+                                               [1.0] * 3, [[-2.0, 2.0]] * 3),
+    "singular_hessian": lambda: user_polynomial(2, SINGULAR_TERMS, [0.0, 0.0],
+                                                [[-2.0, 2.0]] * 2),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SPECS))
+def test_batched_equilibria_match_serial(name):
+    spec = REFERENCE_SPECS[name]()
+    ref = serial_find_equilibria(spec)
+    got = find_equilibria(spec)
+    assert len(got) == len(ref)
+    for q, r in zip(got, ref):
+        assert np.array_equal(q, r)
+    if name == "singular_hessian":
+        assert len(ref) == 40
+    ref_wells = serial_well_minima(spec, ref)
+    got_wells = well_minima(spec)
+    assert len(got_wells) == len(ref_wells) > 0
+    for q, r in zip(got_wells, ref_wells):
+        assert np.array_equal(q, r)
+
+
+def test_smallest_orders_ties_by_index():
+    x = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 7.0, np.nan, 1.0])
+    for k in range(1, x.size + 2):
+        np.testing.assert_array_equal(_smallest(x, k), np.argsort(x, kind="stable")[:k])
+    x = np.random.default_rng(7).integers(0, 50, size=5000).astype(float)
+    np.testing.assert_array_equal(_smallest(x, 32), np.argsort(x, kind="stable")[:32])
