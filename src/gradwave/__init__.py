@@ -23,7 +23,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .functional import BoundsReport, FunctionalParams, compute_bounds, energy, energy_gradient, penalty_energy
-from .minimize import GammaResult, MinimizeOptions, gamma_curve, minimize_profile
+from .minimize import GammaResult, MinimizeOptions, minimize_profile
 from .potential import (
     PotentialConstants,
     PotentialSpec,
@@ -48,7 +48,7 @@ from .profile import (
     translate_to_crossing,
     write_csv,
 )
-from .speed import SpeedResult, find_speed, gamma_zero_tol, wave_at_speed
+from .speed import SpeedResult, find_speed, gamma_curve, gamma_zero_tol, wave_at_speed
 from .verify import VerifyReport, VerifyThresholds, run_verify
 
 __all__ = [

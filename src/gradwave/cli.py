@@ -24,10 +24,9 @@ from . import __version__
 from .config import RunConfig, auto_grid_bounds, build_potential, load_config
 from .errors import ConfigError, WaveSolverError
 from .functional import FunctionalParams, compute_bounds, energy
-from .minimize import gamma_curve
 from .potential import compute_constants, find_equilibria, validate_spec
 from .profile import Grid, read_csv, write_csv
-from .speed import find_speed
+from .speed import find_speed, gamma_curve
 from .verify import run_verify
 
 SCHEMA_VERSION = 1
@@ -108,7 +107,7 @@ def cmd_bounds(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_gamma(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.time()
     if cfg.c is None and cfg.c_list is None:
         raise ConfigError("mode.c or mode.c_list is required for the gamma command")
@@ -120,7 +119,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     opts = cfg.minimize_options()
 
     results = gamma_curve(spec, consts, grid, c_values, opts,
-                          penalty_kappa=cfg.penalty_kappa, jobs=jobs)
+                          penalty_kappa=cfg.penalty_kappa)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "gamma_vs_c.csv"
@@ -241,8 +240,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory override")
-        if name == "gamma":
-            p.add_argument("--jobs", type=int, default=1, help="parallel per-speed evaluations")
         if name == "verify":
             p.add_argument("--profile", required=True, help="profile CSV to certify")
 
@@ -253,7 +250,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg, out_dir)
         if args.command == "gamma":
-            return cmd_gamma(cfg, out_dir, jobs=args.jobs)
+            return cmd_gamma(cfg, out_dir)
         if args.command == "speed":
             return cmd_speed(cfg, out_dir)
         return cmd_verify(cfg, out_dir, args.profile)

@@ -26,7 +26,7 @@ class NoCrossingError(WaveSolverError):
 
 
 class WeightOverflowError(WaveSolverError):
-    """The exponential weight would overflow; use shift normalization or a shorter grid."""
+    """The exponential weight would overflow; use a grid with a shorter right end."""
 
 
 class InfeasibleMinimizerError(WaveSolverError):

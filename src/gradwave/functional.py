@@ -26,21 +26,16 @@ WEIGHT_EXP_CAP = 600.0
 
 @dataclass(frozen=True)
 class FunctionalParams:
-    """Wave-speed parameter plus penalty and weight-normalization settings."""
+    """Wave-speed parameter plus the weight of the sign-constraint penalty."""
 
     c: float
     penalty_kappa: float = 1e3
-    weight_normalization: str = "none"  # "none" | "shift-by-x0"
 
     def __post_init__(self):
         if not self.c > 0:
             raise ContractViolationError(f"speed parameter must be positive, got {self.c}")
         if self.penalty_kappa < 0:
             raise ContractViolationError("penalty weight must be nonnegative")
-        if self.weight_normalization not in ("none", "shift-by-x0"):
-            raise ContractViolationError(
-                f"unknown weight normalization '{self.weight_normalization}'"
-            )
 
 
 @dataclass(frozen=True)
@@ -64,17 +59,15 @@ class BoundsReport:
 
 
 def cell_weights(grid, params: FunctionalParams) -> np.ndarray:
-    """Exact integral of the weight over each cell, optionally shift-normalized."""
+    """Exact integral of the weight e^{c x} over each cell."""
     x = grid.nodes
     c = params.c
-    if c * x[-1] > WEIGHT_EXP_CAP and params.weight_normalization == "none":
+    if c * x[-1] > WEIGHT_EXP_CAP:
         raise WeightOverflowError(
             f"c * x_right = {c * x[-1]:.3g} would overflow the weight; "
-            "use weight_normalization='shift-by-x0' or a shorter grid"
+            f"use a grid with x_right <= {WEIGHT_EXP_CAP / c:.3g}"
         )
-    x_ref = x[-1] if params.weight_normalization == "shift-by-x0" else 0.0
-    ex = np.exp(c * (x - x_ref))
-    return np.diff(ex) / c
+    return np.diff(np.exp(c * x)) / c
 
 
 class WeightedEnergy:

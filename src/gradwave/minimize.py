@@ -11,7 +11,6 @@ and the profile is recentered if the constraint crossing drifts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import ContractViolationError, InfeasibleMinimizerError, WaveSolverError
 from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds
 from .potential import PotentialConstants, PotentialSpec, project_to_zero_set
-from .profile import Grid, Profile, initial_profile, translate_to_crossing
+from .profile import Grid, Profile, translate_to_crossing
 
 # Nothing here calls these two: perfbench/layertrace.py wraps them by name until
 # the next benchmark change points it at the dpttrs solve (ROADMAP item 1).
@@ -326,53 +325,3 @@ def minimize_from_seeds(
     winner = Profile(grid=grid, values=u_best, well_b=np.asarray(spec.well_b, dtype=float))
     return minimize_profile(spec, consts, params, grid, winner, opts)
 
-
-def gamma_curve(
-    spec: PotentialSpec,
-    consts: PotentialConstants,
-    grid: Grid,
-    c_list,
-    opts: MinimizeOptions,
-    penalty_kappa: float = 1e3,
-    jobs: int = 1,
-) -> list[GammaResult]:
-    """Minimum energy along an increasing list of speeds.
-
-    Runs are warm-started from the previous minimizer (recentered), which is
-    what makes the sweep fast; pass jobs > 1 to evaluate the speeds
-    independently (cold starts) on a thread pool instead.
-    """
-    c_arr = [float(c) for c in c_list]
-    if len(c_arr) == 0:
-        raise ContractViolationError("c_list must not be empty")
-    if any(c <= 0 for c in c_arr):
-        raise ContractViolationError("all speeds must be positive")
-    if any(b <= a for a, b in zip(c_arr, c_arr[1:])):
-        raise ContractViolationError("c_list must be strictly increasing")
-
-    def cold(c):
-        params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
-        init = initial_profile(spec, consts, grid)
-        return minimize_profile(spec, consts, params, grid, init, opts)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cold, c_arr))
-
-    results: list[GammaResult] = []
-    warm: Profile | None = None
-    for c in c_arr:
-        params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
-        try:
-            if warm is None:
-                res = minimize_profile(spec, consts, params, grid,
-                                       initial_profile(spec, consts, grid), opts)
-            else:
-                res = minimize_profile(spec, consts, params, grid, warm,
-                                       replace(opts, restarts=0))
-        except WaveSolverError as err:
-            err.partial_results = results  # type: ignore[attr-defined]
-            raise
-        results.append(res)
-        warm = res.profile
-    return results

@@ -22,7 +22,6 @@ class Grid:
     """Truncated 1-D grid with a node pinned at 0."""
 
     nodes: np.ndarray
-    spacing: str = "uniform"  # "uniform" | "refined"
 
     def __post_init__(self):
         x = np.asarray(self.nodes, dtype=float)
@@ -65,7 +64,7 @@ class Grid:
             [0.0],
             h * np.arange(1, n_right + 1),
         ])
-        return Grid(nodes=nodes, spacing="uniform")
+        return Grid(nodes=nodes)
 
     @staticmethod
     def refined(
@@ -92,7 +91,7 @@ class Grid:
 
         right = one_side(x_right)
         left = -one_side(-x_left)[::-1]
-        return Grid(nodes=np.concatenate([left, [0.0], right]), spacing="refined")
+        return Grid(nodes=np.concatenate([left, [0.0], right]))
 
 
 @dataclass(frozen=True)

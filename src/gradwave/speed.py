@@ -1,19 +1,22 @@
-"""Root finding for the unique speed where the minimum energy vanishes.
+"""Minimum energy at one speed, and root finding for the speed where it vanishes.
 
 The minimum energy is strictly increasing in the speed, negative for small
 speeds and positive for large ones, so bisection on its sign converges to
 the unique root.  Bisection rather than a secant-type method because the
 estimates carry optimization noise and only their signs are trusted.
 
-Two robustness rules shape the implementation:
+``gamma_at`` computes the minimum energy at one speed; the bisection
+probes and final solve of ``find_speed``, ``wave_at_speed`` and the sweep of
+``gamma_curve`` all go through it.  Two robustness rules shape it and its
+callers:
 
-* every evaluation runs on a sub-range of the caller's grid sized for its
-  own speed (left end at -40/c, right end at 40 over the tail decay rate),
-  which keeps the exponential weight within double-precision range;
+* it runs on a sub-range of the caller's grid sized for its own speed (left
+  end at -40/c, right end at 40 over the tail decay rate), which keeps the
+  exponential weight within double-precision range;
 * a found local minimum can only overestimate the true minimum energy, so
   negative estimates are trusted as-is, while nonnegative warm-started
-  estimates are cross-checked by cold runs raced from every well of the
-  potential (profiles seeded from the wrong well shed their extra fronts
+  bisection probes are cross-checked by cold runs raced from every well of
+  the potential (profiles seeded from the wrong well shed their extra fronts
   only logarithmically slowly, so seeding from each well is what makes the
   cold estimates reliable).
 """
@@ -79,12 +82,11 @@ def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
     xr = min(grid.x_right, 40.0 / decay_rate(consts, c))
     i_lo = int(np.searchsorted(nodes, xl, side="left"))
     i_hi = int(np.searchsorted(nodes, xr, side="right"))
-    i_lo = min(i_lo, iz - 2)
+    i_lo = max(0, min(i_lo, iz - 2))
     i_hi = max(i_hi, iz + 3)
-    sub = nodes[i_lo:i_hi]
     if i_lo == 0 and i_hi == nodes.size:
         return grid
-    return Grid(nodes=sub.copy(), spacing=grid.spacing)
+    return Grid(nodes=nodes[i_lo:i_hi].copy())
 
 
 def transfer_profile(profile: Profile, grid: Grid, well_b) -> Profile:
@@ -101,6 +103,30 @@ def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndar
         if all(np.linalg.norm(q - p) > 1e-6 for p in points):
             points.append(q)
     return points
+
+
+def gamma_at(
+    spec: PotentialSpec,
+    consts: PotentialConstants,
+    grid: Grid,
+    c: float,
+    opts: MinimizeOptions,
+    wells,
+    warm_from: Profile | None = None,
+    penalty_kappa: float = 1e3,
+) -> GammaResult:
+    """Minimum energy at c on speed_subgrid(grid, consts, c).
+
+    Warm-started from ``warm_from`` (resampled onto the sub-grid) when given,
+    else raced cold from one segment profile per point of ``wells``.
+    """
+    sub = speed_subgrid(grid, consts, c)
+    params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
+    if warm_from is not None:
+        init = transfer_profile(warm_from, sub, spec.well_b)
+        return minimize_profile(spec, consts, params, sub, init, opts)
+    seeds = [segment_profile(spec, sub, p) for p in wells]
+    return minimize_from_seeds(spec, consts, params, sub, seeds, opts)
 
 
 def find_speed(
@@ -130,23 +156,12 @@ def find_speed(
     probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL), restarts=0)
     wells = seed_points(spec, consts)
 
-    def cold(c: float, sub: Grid, run_opts: MinimizeOptions) -> GammaResult:
-        params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
-        seeds = [segment_profile(spec, sub, p) for p in wells]
-        return minimize_from_seeds(spec, consts, params, sub, seeds, run_opts)
-
-    def gamma_at(c: float, warm_from: Profile | None) -> GammaResult:
-        sub = speed_subgrid(grid, consts, c)
-        params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
-        if warm_from is not None:
-            init = transfer_profile(warm_from, sub, spec.well_b)
-            res = minimize_profile(spec, consts, params, sub, init, probe_opts)
-            if res.gamma >= 0.0:
-                res_cold = cold(c, sub, probe_opts)
-                if res_cold.gamma < res.gamma:
-                    res = res_cold
-        else:
-            res = cold(c, sub, probe_opts)
+    def probe(c: float, warm_from: Profile | None) -> GammaResult:
+        res = gamma_at(spec, consts, grid, c, probe_opts, wells, warm_from, penalty_kappa)
+        if warm_from is not None and res.gamma >= 0.0:
+            res_cold = gamma_at(spec, consts, grid, c, probe_opts, wells, None, penalty_kappa)
+            if res_cold.gamma < res.gamma:
+                res = res_cold
         evaluated[c] = res
         probes.append((c, res.gamma))
         return res
@@ -157,23 +172,23 @@ def find_speed(
         c_near = min(evaluated, key=lambda ck: abs(ck - c))
         return evaluated[c_near].profile
 
-    res_lo = gamma_at(c_lo, None)
+    res_lo = probe(c_lo, None)
     for _ in range(_MAX_EXPANSIONS):
         if res_lo.gamma < 0:
             break
         c_lo /= _EXPAND_FACTOR
-        res_lo = gamma_at(c_lo, None)
+        res_lo = probe(c_lo, None)
     else:
         raise BracketFailureError(
             f"no negative minimum energy found down to c={c_lo:g}", probes=probes
         )
 
-    res_hi = gamma_at(c_hi, None)
+    res_hi = probe(c_hi, None)
     for _ in range(_MAX_EXPANSIONS):
         if res_hi.gamma > 0:
             break
         c_hi *= _EXPAND_FACTOR
-        res_hi = gamma_at(c_hi, None)
+        res_hi = probe(c_hi, None)
     else:
         raise BracketFailureError(
             f"no positive minimum energy found up to c={c_hi:g}", probes=probes
@@ -183,7 +198,7 @@ def find_speed(
     history = [(c_lo, c_hi, g_lo, g_hi)]
     while c_hi - c_lo > c_tol:
         c_mid = 0.5 * (c_lo + c_hi)
-        res_mid = gamma_at(c_mid, nearest_profile(c_mid))
+        res_mid = probe(c_mid, nearest_profile(c_mid))
         if res_mid.gamma == 0.0:
             c_lo = c_hi = c_mid
             g_lo = g_hi = 0.0
@@ -196,8 +211,7 @@ def find_speed(
         history.append((c_lo, c_hi, g_lo, g_hi))
 
     c_star = 0.5 * (c_lo + c_hi)
-    sub_star = speed_subgrid(grid, consts, c_star)
-    final = cold(c_star, sub_star, opts)
+    final = gamma_at(spec, consts, grid, c_star, opts, wells, None, penalty_kappa)
     return SpeedResult(
         c_star=c_star,
         gamma_at_c_star=final.gamma,
@@ -220,10 +234,8 @@ def wave_at_speed(
     Raises NotAWaveError when the converged minimum energy is not zero
     within tolerance; run find_speed first to locate the root speed.
     """
-    sub = speed_subgrid(grid, consts, c)
-    params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
-    seeds = [segment_profile(spec, sub, p) for p in seed_points(spec, consts)]
-    res = minimize_from_seeds(spec, consts, params, sub, seeds, opts)
+    res = gamma_at(spec, consts, grid, c, opts, seed_points(spec, consts),
+                   penalty_kappa=penalty_kappa)
     tol = gamma_zero_tol(consts, c)
     if abs(res.gamma) > tol:
         raise NotAWaveError(
@@ -231,3 +243,34 @@ def wave_at_speed(
             "run find_speed to locate the root speed first"
         )
     return res.profile
+
+
+def gamma_curve(
+    spec: PotentialSpec,
+    consts: PotentialConstants,
+    grid: Grid,
+    c_list,
+    opts: MinimizeOptions,
+    penalty_kappa: float = 1e3,
+) -> list[GammaResult]:
+    """Minimum energy along an increasing list of speeds.
+
+    The first speed is solved cold from every well; each later one is
+    warm-started from the previous minimizer without restarts, which is
+    what makes the sweep fast.  Each result lives on its speed's sub-grid.
+    """
+    c_arr = [float(c) for c in c_list]
+    if len(c_arr) == 0:
+        raise ContractViolationError("c_list must not be empty")
+    if any(c <= 0 for c in c_arr):
+        raise ContractViolationError("all speeds must be positive")
+    if any(b <= a for a, b in zip(c_arr, c_arr[1:])):
+        raise ContractViolationError("c_list must be strictly increasing")
+
+    wells = seed_points(spec, consts)
+    warm_opts = replace(opts, restarts=0)
+    results = [gamma_at(spec, consts, grid, c_arr[0], opts, wells, penalty_kappa=penalty_kappa)]
+    for c in c_arr[1:]:
+        results.append(gamma_at(spec, consts, grid, c, warm_opts, wells,
+                                results[-1].profile, penalty_kappa))
+    return results

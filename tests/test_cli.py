@@ -180,7 +180,7 @@ directory = {out}
         s = np.arctanh(np.clip(u[prof.grid.index_zero], -0.999999, 0.999999))
         assert np.max(np.abs(u - np.tanh(prof.grid.nodes + s))) <= 1e-2
 
-    def test_parallel_jobs(self, tmp_path):
+    def test_explicit_grid_sweep(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, f"""
 [potential]
@@ -202,7 +202,7 @@ c_list = 0.4, 0.9
 [output]
 directory = {out}
 """)
-        assert main(["gamma", "--config", cfg, "--jobs", "2"]) == 0
+        assert main(["gamma", "--config", cfg]) == 0
         rows = (out / "gamma_vs_c.csv").read_text().strip().splitlines()
         gammas = [float(r.split(",")[1]) for r in rows[1:]]
         assert gammas[0] < 0 < gammas[1]

@@ -79,12 +79,6 @@ class TestEnergy:
         p = Profile(grid=g, values=np.ones((g.n_nodes, 1)), well_b=np.array([1.0]))
         with pytest.raises(WeightOverflowError):
             energy(scalar_spec, FunctionalParams(c=0.7), p)
-        val = energy(
-            scalar_spec,
-            FunctionalParams(c=0.7, weight_normalization="shift-by-x0"),
-            p,
-        )
-        assert np.isfinite(val)
 
     def test_energy_respects_lower_bound(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-60.0, 20.0, 0.01)

@@ -11,7 +11,13 @@ from gradwave import (
     derivative,
     wave_at_speed,
 )
-from gradwave.speed import gamma_zero_tol, speed_subgrid, transfer_profile
+from gradwave.speed import (
+    gamma_at,
+    gamma_zero_tol,
+    seed_points,
+    speed_subgrid,
+    transfer_profile,
+)
 from conftest import make_grid
 
 
@@ -82,6 +88,14 @@ class TestSubgrid:
         assert sub.x_right <= 25.0
         assert 0.0 in sub.nodes
 
+    def test_one_node_left_of_zero(self, scalar_consts):
+        # the two-node margin left of 0 cannot reach below the first node
+        g = Grid.uniform(-0.05, 30.0, 0.05)
+        sub = speed_subgrid(g, scalar_consts, 0.6)
+        assert sub.x_left == g.x_left
+        assert sub.x_right <= 40.0 / 0.6
+        assert sub.nodes[sub.index_zero] == 0.0
+
     def test_transfer_preserves_values_and_pins_end(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-60.0, 20.0, 0.05)
         sub = speed_subgrid(g, scalar_consts, 1.2)
@@ -92,3 +106,19 @@ class TestSubgrid:
         assert np.array_equal(q.values[-1], scalar_spec.well_b)
         mid = sub.index_zero
         assert q.values[mid, 0] == pytest.approx(p.values[g.index_zero, 0], abs=1e-12)
+
+
+class TestGammaCurve:
+    def test_each_point_lives_on_its_subgrid(self, scalar_curve, scalar_consts):
+        c_list, curve, grid = scalar_curve
+        for c, res in zip(c_list, curve):
+            sub = speed_subgrid(grid, scalar_consts, c)
+            assert np.array_equal(res.profile.grid.nodes, sub.nodes)
+
+    def test_first_point_is_cold_gamma_at(self, scalar_curve, scalar_spec, scalar_consts):
+        c_list, curve, grid = scalar_curve
+        opts = MinimizeOptions(opt_tol=1e-6, restarts=0)
+        cold = gamma_at(scalar_spec, scalar_consts, grid, c_list[0], opts,
+                        seed_points(scalar_spec, scalar_consts))
+        assert cold.gamma == curve[0].gamma
+        assert np.array_equal(cold.profile.values, curve[0].profile.values)
