@@ -40,7 +40,6 @@ from .profile import (
     Grid,
     Profile,
     derivative,
-    initial_profile,
     read_csv,
     second_derivative,
     segment_profile,
@@ -87,7 +86,6 @@ __all__ = [
     "find_speed",
     "gamma_curve",
     "gamma_zero_tol",
-    "initial_profile",
     "minimize_profile",
     "penalty_energy",
     "project_to_zero_set",

@@ -306,7 +306,7 @@ def minimize_from_seeds(
     Each seed runs a budgeted descent; the seed with the lowest feasible
     objective continues to full convergence.  Racing from several wells
     avoids the slow escape of energy-carrying structure that a single seed
-    may contain.
+    may contain.  The reported iterations include the race budgets spent.
     """
     seeds = list(seeds)
     if not seeds:
@@ -316,12 +316,15 @@ def minimize_from_seeds(
 
     budget_opts = replace(opts, max_iters=budget, restarts=0)
     scored = []
+    race_iters = 0
     for init in seeds:
         base = translate_to_crossing(spec, init)
         u, J, viol, pg, iters, conv = _descent(spec, params, grid, base.values, budget_opts)
+        race_iters += iters
         penalty_rank = 0.0 if viol <= opts.feas_tol else 1e6 + viol
         scored.append((J + penalty_rank, u))
     _, u_best = min(scored, key=lambda s: s[0])
     winner = Profile(grid=grid, values=u_best, well_b=np.asarray(spec.well_b, dtype=float))
-    return minimize_profile(spec, consts, params, grid, winner, opts)
+    res = minimize_profile(spec, consts, params, grid, winner, opts)
+    return replace(res, iterations=res.iterations + race_iters)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NoCrossingError
-from .potential import NEG_TOL, PotentialConstants, PotentialSpec, project_to_zero_set
+from .potential import NEG_TOL, PotentialSpec, project_to_zero_set
 
 
 @dataclass(frozen=True)
@@ -237,11 +237,6 @@ def segment_profile(spec: PotentialSpec, grid: Grid, left_point) -> Profile:
     vals[grid.index_zero] = project_to_zero_set(spec, a + t0 * (b - a))
     vals[-1] = b
     return Profile(grid=grid, values=vals, well_b=b)
-
-
-def initial_profile(spec: PotentialSpec, consts: PotentialConstants, grid: Grid) -> Profile:
-    """Seed profile from the deepest well to the reference well."""
-    return segment_profile(spec, grid, consts.point_a)
 
 
 def translate_to_crossing(spec: PotentialSpec, profile: Profile) -> Profile:

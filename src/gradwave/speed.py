@@ -13,12 +13,18 @@ callers:
 * it runs on a sub-range of the caller's grid sized for its own speed (left
   end at -40/c, right end at 40 over the tail decay rate), which keeps the
   exponential weight within double-precision range;
-* a found local minimum can only overestimate the true minimum energy, so
-  negative estimates are trusted as-is, while nonnegative warm-started
-  bisection probes are cross-checked by cold runs raced from every well of
-  the potential (profiles seeded from the wrong well shed their extra fronts
-  only logarithmically slowly, so seeding from each well is what makes the
-  cold estimates reliable).
+* the minimum energy is an infimum over a constraint set that does not
+  depend on the speed, so ``find_speed`` takes its signs from two facts.  A
+  feasible profile with negative energy proves a negative sign: at the lower
+  bracket end the cold seeds (one segment profile per well) are evaluated
+  before any descent runs.  A positive sign at one speed holds at every
+  larger speed: a found local minimum can only overestimate the minimum, so
+  only the upper end of the final bracket, if it came from a warm probe, is
+  cross-checked by a cold run raced from every well (profiles seeded from
+  the wrong well shed their extra fronts only logarithmically slowly, so
+  seeding from each well is what makes the cold estimates reliable).  A
+  cross-check that finds a negative minimum moves the lower end there and
+  resumes the bisection.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketFailureError, ContractViolationError, NotAWaveError
-from .functional import FunctionalParams, compute_bounds
+from .functional import FunctionalParams, WeightedEnergy, compute_bounds
 from .minimize import GammaResult, MinimizeOptions, minimize_from_seeds, minimize_profile
 from .potential import PotentialConstants, PotentialSpec, well_minima
-from .profile import Grid, Profile, interpolate, segment_profile
+from .profile import Grid, Profile, interpolate, segment_profile, translate_to_crossing
 
 _EXPAND_FACTOR = 1.5
 _MAX_EXPANSIONS = 6
@@ -42,7 +48,13 @@ _PROBE_OPT_TOL = 1e-5
 
 @dataclass(frozen=True)
 class SpeedResult:
-    """Root of the minimum-energy function with its bisection history."""
+    """Root of the minimum-energy function with its bisection history.
+
+    Each ``bracket_history`` row is ``(c_lo, c_hi, gamma_lo, gamma_hi)``.  When
+    a cold seed certifies the sign at the lower bracket end, the first row's
+    ``gamma_lo`` is that seed's energy: an upper bound on the minimum energy
+    there, not a minimum.
+    """
 
     c_star: float
     gamma_at_c_star: float
@@ -105,6 +117,14 @@ def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndar
     return points
 
 
+def cold_seeds(
+    spec: PotentialSpec, consts: PotentialConstants, grid: Grid, c: float, wells
+) -> tuple[Grid, list[Profile]]:
+    """The sub-grid at c and one segment profile per point of ``wells`` on it."""
+    sub = speed_subgrid(grid, consts, c)
+    return sub, [segment_profile(spec, sub, p) for p in wells]
+
+
 def gamma_at(
     spec: PotentialSpec,
     consts: PotentialConstants,
@@ -120,12 +140,12 @@ def gamma_at(
     Warm-started from ``warm_from`` (resampled onto the sub-grid) when given,
     else raced cold from one segment profile per point of ``wells``.
     """
-    sub = speed_subgrid(grid, consts, c)
     params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
     if warm_from is not None:
+        sub = speed_subgrid(grid, consts, c)
         init = transfer_profile(warm_from, sub, spec.well_b)
         return minimize_profile(spec, consts, params, sub, init, opts)
-    seeds = [segment_profile(spec, sub, p) for p in wells]
+    sub, seeds = cold_seeds(spec, consts, grid, c, wells)
     return minimize_from_seeds(spec, consts, params, sub, seeds, opts)
 
 
@@ -139,12 +159,17 @@ def find_speed(
 ) -> SpeedResult:
     """Bisect the analytic bracket for the root of the minimum energy.
 
-    The bracket endpoints come from the analytic bounds; if a probe has the
-    wrong sign (possible on a coarse grid) the bracket is expanded
-    geometrically, with a hard failure after a few expansions.  Interior
-    probes are warm-started from the nearest evaluated minimizer.  The
-    returned profile is a cold-start minimizer at the midpoint, living on
-    the sub-range of the grid sized for that speed.
+    The bracket endpoints come from the analytic bounds; if an endpoint has
+    the wrong sign (possible on a coarse grid) the bracket is expanded
+    geometrically, with a hard failure after a few expansions.  A lower end
+    is negative without any descent when one of its cold seeds is feasible
+    with negative energy.  Interior probes are warm-started from the nearest
+    evaluated minimizer.  Once the bracket is narrower than ``c_tol``, its
+    upper end is solved cold if it came from a warm probe; a negative cold
+    result makes it the lower end, the next larger positive probe the upper
+    end, and the bisection resumes.  The returned profile is a cold-start
+    minimizer at the midpoint, living on the sub-range of the grid sized for
+    that speed.
     """
     if not c_tol > 0:
         raise ContractViolationError("c_tol must be positive")
@@ -152,19 +177,30 @@ def find_speed(
     bounds = compute_bounds(spec, consts, max(1.0, c_tol))
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
     evaluated: dict[float, GammaResult] = {}
+    solved_cold: set[float] = set()
     probes: list[tuple[float, float]] = []
     probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL), restarts=0)
     wells = seed_points(spec, consts)
 
-    def probe(c: float, warm_from: Profile | None) -> GammaResult:
+    def probe(c: float, warm_from: Profile | None) -> float:
         res = gamma_at(spec, consts, grid, c, probe_opts, wells, warm_from, penalty_kappa)
-        if warm_from is not None and res.gamma >= 0.0:
-            res_cold = gamma_at(spec, consts, grid, c, probe_opts, wells, None, penalty_kappa)
-            if res_cold.gamma < res.gamma:
-                res = res_cold
+        if warm_from is None:
+            solved_cold.add(c)
         evaluated[c] = res
         probes.append((c, res.gamma))
-        return res
+        return res.gamma
+
+    def lower_end(c: float) -> float:
+        # any feasible profile bounds the minimum from above, so a cold seed
+        # with negative energy settles the sign without a descent
+        sub, seeds = cold_seeds(spec, consts, grid, c, wells)
+        op = WeightedEnergy(spec, FunctionalParams(c=c, penalty_kappa=penalty_kappa), sub)
+        for seed in seeds:
+            J, _, w = op.value(translate_to_crossing(spec, seed).values)
+            if J < 0 and op.violation(w) <= probe_opts.feas_tol:
+                probes.append((c, J))
+                return J
+        return probe(c, None)
 
     def nearest_profile(c: float) -> Profile | None:
         if not evaluated:
@@ -172,42 +208,53 @@ def find_speed(
         c_near = min(evaluated, key=lambda ck: abs(ck - c))
         return evaluated[c_near].profile
 
-    res_lo = probe(c_lo, None)
+    g_lo = lower_end(c_lo)
     for _ in range(_MAX_EXPANSIONS):
-        if res_lo.gamma < 0:
+        if g_lo < 0:
             break
         c_lo /= _EXPAND_FACTOR
-        res_lo = probe(c_lo, None)
+        g_lo = lower_end(c_lo)
     else:
         raise BracketFailureError(
             f"no negative minimum energy found down to c={c_lo:g}", probes=probes
         )
 
-    res_hi = probe(c_hi, None)
+    g_hi = probe(c_hi, None)
     for _ in range(_MAX_EXPANSIONS):
-        if res_hi.gamma > 0:
+        if g_hi > 0:
             break
         c_hi *= _EXPAND_FACTOR
-        res_hi = probe(c_hi, None)
+        g_hi = probe(c_hi, None)
     else:
         raise BracketFailureError(
             f"no positive minimum energy found up to c={c_hi:g}", probes=probes
         )
 
-    g_lo, g_hi = res_lo.gamma, res_hi.gamma
     history = [(c_lo, c_hi, g_lo, g_hi)]
-    while c_hi - c_lo > c_tol:
-        c_mid = 0.5 * (c_lo + c_hi)
-        res_mid = probe(c_mid, nearest_profile(c_mid))
-        if res_mid.gamma == 0.0:
-            c_lo = c_hi = c_mid
-            g_lo = g_hi = 0.0
+    while True:
+        while c_hi - c_lo > c_tol:
+            c_mid = 0.5 * (c_lo + c_hi)
+            g_mid = probe(c_mid, nearest_profile(c_mid))
+            if g_mid == 0.0:
+                c_lo = c_hi = c_mid
+                g_lo = g_hi = 0.0
+                history.append((c_lo, c_hi, g_lo, g_hi))
+                break
+            if g_mid < 0:
+                c_lo, g_lo = c_mid, g_mid
+            else:
+                c_hi, g_hi = c_mid, g_mid
             history.append((c_lo, c_hi, g_lo, g_hi))
+        if c_hi in solved_cold:
             break
-        if res_mid.gamma < 0:
-            c_lo, g_lo = c_mid, res_mid.gamma
-        else:
-            c_hi, g_hi = c_mid, res_mid.gamma
+        g_cold = probe(c_hi, None)
+        if g_cold >= 0.0:
+            g_hi = min(g_hi, g_cold)
+            history = [(a, b, ga, g_hi if b == c_hi else gb) for a, b, ga, gb in history]
+            break
+        c_lo, g_lo = c_hi, g_cold
+        c_hi = min(c for c, r in evaluated.items() if c > c_lo and r.gamma > 0)
+        g_hi = evaluated[c_hi].gamma
         history.append((c_lo, c_hi, g_lo, g_hi))
 
     c_star = 0.5 * (c_lo + c_hi)

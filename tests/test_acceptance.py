@@ -21,9 +21,9 @@ from gradwave import (
     compute_constants,
     derivative,
     energy_gradient,
-    initial_profile,
     gamma_curve,
     scalar_cubic,
+    segment_profile,
 )
 from gradwave.cli import main
 from gradwave.functional import objective
@@ -175,7 +175,7 @@ def test_criterion_07_gradient_matches_finite_differences(
     worst = 0.0
     for spec, consts in ((scalar_spec, scalar_consts), (decoupled_spec, decoupled_consts)):
         grid = Grid.uniform(-6.0, 5.0, 0.1)
-        base = initial_profile(spec, consts, grid)
+        base = segment_profile(spec, grid, consts.point_a)
         params = FunctionalParams(c=0.8, penalty_kappa=100.0)
         for _ in range(20):
             vals = base.values + 0.2 * rng.standard_normal(base.values.shape)

@@ -11,8 +11,8 @@ from gradwave import (
     compute_bounds,
     energy,
     energy_gradient,
-    initial_profile,
     penalty_energy,
+    segment_profile,
     shift,
 )
 from gradwave.functional import objective
@@ -82,7 +82,7 @@ class TestEnergy:
 
     def test_energy_respects_lower_bound(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-60.0, 20.0, 0.01)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         for c in (0.3, 0.6, 1.0):
             val = energy(scalar_spec, FunctionalParams(c=c), p)
             assert val >= compute_bounds(scalar_spec, scalar_consts, c).lower - 1e-3
@@ -91,7 +91,7 @@ class TestEnergy:
 class TestPenalty:
     def test_feasible_profile_no_penalty(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-30.0, 15.0, 0.01)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         assert penalty_energy(scalar_spec, FunctionalParams(c=1.0), p) == pytest.approx(0.0, abs=1e-16)
 
     def test_dip_cell_matches_closed_form(self, scalar_spec):
@@ -103,7 +103,7 @@ class TestPenalty:
 
     def test_zero_kappa(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-10.0, 5.0, 0.05)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         vals = p.values.copy()
         vals[g.index_zero + 10] = -0.5  # force an infeasible dip
         p2 = p.with_values(vals)
@@ -117,7 +117,7 @@ class TestGradient:
         spec = scalar_spec if builtin == "scalar" else decoupled_spec
         consts = scalar_consts if builtin == "scalar" else decoupled_consts
         g = Grid.uniform(-6.0, 5.0, 0.1)
-        base = initial_profile(spec, consts, g)
+        base = segment_profile(spec, g, consts.point_a)
         rng = np.random.default_rng(11)
         params = FunctionalParams(c=0.9, penalty_kappa=50.0)
         for _ in range(3):
@@ -156,7 +156,7 @@ class TestGradient:
 
     def test_matches_on_refined_grid(self, scalar_spec, scalar_consts):
         g = Grid.refined(-5.0, 4.0, 0.2, h_min=0.02)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         params = FunctionalParams(c=0.7)
         grad = energy_gradient(scalar_spec, params, p)
         rng = np.random.default_rng(5)

@@ -11,8 +11,8 @@ from gradwave import (
     WaveSolverError,
     compute_bounds,
     derivative,
-    initial_profile,
     minimize_profile,
+    segment_profile,
 )
 from gradwave.functional import WeightedEnergy, cell_weights
 from gradwave.minimize import _factor_preconditioner
@@ -25,7 +25,7 @@ from conftest import make_grid
 class TestMinimizeScalar:
     def test_gamma_vanishes_at_wave_speed(self, scalar_spec, scalar_consts):
         grid = make_grid(scalar_consts, 0.6)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
             MinimizeOptions(restarts=0),
@@ -95,7 +95,7 @@ class TestMinimizeScalar:
     def test_warm_matches_cold(self, scalar_spec, scalar_consts, scalar_curve):
         c_list, results, grid = scalar_curve
         idx = c_list.index(0.8)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         cold = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
             MinimizeOptions(opt_tol=1e-6, restarts=0),
@@ -106,7 +106,7 @@ class TestMinimizeScalar:
         from gradwave.functional import objective
 
         grid = Grid.uniform(-30.0, 15.0, 0.02)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         params = FunctionalParams(c=0.5)
         res = minimize_profile(scalar_spec, scalar_consts, params, grid, init,
                                MinimizeOptions(opt_tol=1e-6, restarts=0))
@@ -114,7 +114,7 @@ class TestMinimizeScalar:
 
     def test_non_convergence_flagged(self, scalar_spec, scalar_consts):
         grid = Grid.uniform(-20.0, 12.0, 0.05)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.5), grid, init,
             MinimizeOptions(max_iters=3, restarts=0),
@@ -123,7 +123,7 @@ class TestMinimizeScalar:
 
     def test_refined_grid_solve(self, scalar_spec, scalar_consts):
         grid = Grid.refined(-30.0, 15.0, 0.05, h_min=0.01)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
             MinimizeOptions(opt_tol=1e-6, restarts=0),
@@ -145,7 +145,7 @@ class TestMinimizeScalar:
         gammas = []
         for L in (40.0, 80.0):
             grid = Grid.uniform(-L / 0.5, 40.0 / 1.9, 0.02)
-            init = initial_profile(scalar_spec, scalar_consts, grid)
+            init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
             res = minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.5),
                                    grid, init, opts)
             gammas.append(res.gamma)
@@ -155,7 +155,7 @@ class TestMinimizeScalar:
 class TestMultistart:
     def test_spread_reported(self, scalar_spec, scalar_consts):
         grid = Grid.uniform(-30.0, 15.0, 0.02)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
             MinimizeOptions(opt_tol=1e-6, restarts=2, seed=1),
@@ -165,7 +165,7 @@ class TestMultistart:
 
     def test_deterministic_given_seed(self, scalar_spec, scalar_consts):
         grid = Grid.uniform(-25.0, 12.0, 0.02)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         opts = MinimizeOptions(opt_tol=1e-6, restarts=2, seed=7)
         r1 = minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.7),
                               grid, init, opts)
@@ -182,7 +182,7 @@ class TestErrors:
         from gradwave import InfeasibleMinimizerError
 
         grid = Grid.uniform(-30.0, 15.0, 0.02)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         with pytest.raises(InfeasibleMinimizerError):
             minimize_profile(
                 scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,

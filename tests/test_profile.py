@@ -11,8 +11,8 @@ from gradwave import (
     NoCrossingError,
     Profile,
     derivative,
-    initial_profile,
     read_csv,
+    segment_profile,
     shift,
     translate_to_crossing,
     write_csv,
@@ -96,7 +96,7 @@ class TestDerivative:
 class TestInitialProfile:
     def test_scalar_structure(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-20.0, 10.0, 0.01)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         assert p.values[g.index_zero, 0] == pytest.approx(U_STAR[0.6], abs=1e-8)
         assert p.values[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert p.values[-1, 0] == pytest.approx(1.0, abs=0)
@@ -105,7 +105,7 @@ class TestInitialProfile:
 
     def test_decoupled_structure(self, decoupled_spec, decoupled_consts):
         g = Grid.uniform(-20.0, 10.0, 0.01)
-        p = initial_profile(decoupled_spec, decoupled_consts, g)
+        p = segment_profile(decoupled_spec, g, decoupled_consts.point_a)
         q = p.values[g.index_zero]
         assert abs(float(decoupled_spec.value(q))) <= 1e-10
         assert -1.0 < q[0] < 1.0 and -1.0 < q[1] < 1.0
@@ -118,7 +118,7 @@ class TestInitialProfile:
 class TestTranslate:
     def test_already_centered_unchanged(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-20.0, 10.0, 0.01)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         out = translate_to_crossing(scalar_spec, p)
         assert np.max(np.abs(out.values - p.values)) <= 1e-10
 
@@ -166,7 +166,7 @@ def test_shift_round_trip(s):
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path, scalar_spec, scalar_consts):
         g = Grid.uniform(-6.0, 4.0, 0.05)
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         path = tmp_path / "profile.csv"
         write_csv(path, p, scalar_spec)
         q = read_csv(path, scalar_spec)

@@ -1,14 +1,20 @@
 """Root finding for the wave speed and the wave-at-speed accessor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import gradwave.minimize as minimize
+import gradwave.speed as speed
 from gradwave import (
     Grid,
     MinimizeOptions,
     NotAWaveError,
     compute_bounds,
     derivative,
+    find_speed,
+    segment_profile,
     wave_at_speed,
 )
 from gradwave.speed import (
@@ -99,9 +105,7 @@ class TestSubgrid:
     def test_transfer_preserves_values_and_pins_end(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-60.0, 20.0, 0.05)
         sub = speed_subgrid(g, scalar_consts, 1.2)
-        from gradwave import initial_profile
-
-        p = initial_profile(scalar_spec, scalar_consts, g)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         q = transfer_profile(p, sub, scalar_spec.well_b)
         assert np.array_equal(q.values[-1], scalar_spec.well_b)
         mid = sub.index_zero
@@ -122,3 +126,117 @@ class TestGammaCurve:
                         seed_points(scalar_spec, scalar_consts))
         assert cold.gamma == curve[0].gamma
         assert np.array_equal(cold.profile.values, curve[0].profile.values)
+
+
+def logged_find_speed(spec, consts, alter=None):
+    """find_speed at h = 0.02 with every gamma_at call logged as (c, warm).
+
+    ``alter(c, warm, result)``, when given, replaces what gamma_at returns.
+    """
+    calls = []
+    real = speed.gamma_at
+
+    def logged(spec, consts, grid, c, opts, wells, warm_from=None, penalty_kappa=1e3):
+        res = real(spec, consts, grid, c, opts, wells, warm_from, penalty_kappa)
+        warm = warm_from is not None
+        calls.append((c, warm))
+        return res if alter is None else alter(c, warm, res)
+
+    bounds = compute_bounds(spec, consts, 1.0)
+    grid = make_grid(consts, bounds.bracket_lo, h=0.02)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(speed, "gamma_at", logged)
+        res = find_speed(spec, consts, grid, MinimizeOptions(restarts=0), 1e-3)
+    return res, calls, bounds
+
+
+@pytest.fixture(scope="module")
+def scalar_logged(scalar_spec, scalar_consts):
+    return logged_find_speed(scalar_spec, scalar_consts)
+
+
+@pytest.fixture(scope="module")
+def decoupled_logged(decoupled_spec, decoupled_consts):
+    return logged_find_speed(decoupled_spec, decoupled_consts)
+
+
+@pytest.fixture(params=["scalar_logged", "decoupled_logged"])
+def logged(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestSignCertificates:
+    def test_no_descent_at_lower_bracket_end(self, logged):
+        res, calls, bounds = logged
+        c_lo, _, g_lo, _ = res.bracket_history[0]
+        assert c_lo == bounds.bracket_lo and g_lo < 0
+        assert all(c != bounds.bracket_lo for c, _ in calls)
+
+    def test_one_cold_crosscheck_at_final_upper_end(self, logged):
+        res, calls, _ = logged
+        warm = {c for c, is_warm in calls if is_warm}
+        checks = [c for c, is_warm in calls if not is_warm and c in warm]
+        assert checks == [res.bracket_history[-1][1]]
+
+    def test_wrong_warm_sign_resumes_bisection(self, scalar_logged, scalar_spec, scalar_consts):
+        # warm probes just below the root report a positive energy; cold runs stay true
+        c0 = scalar_logged[0].c_star
+        flipped = []
+
+        def flip(c, warm, res):
+            if warm and c0 - 4e-3 < c < c0 and res.gamma < 0:
+                flipped.append(c)
+                return dataclasses.replace(res, gamma=-res.gamma)
+            return res
+
+        res, calls, _ = logged_find_speed(scalar_spec, scalar_consts, alter=flip)
+        assert flipped
+        assert abs(res.c_star - c0) <= 1e-3
+        hist = res.bracket_history
+        # a cold cross-check turned an upper end into a lower end
+        uppers = {row[1] for row in hist}
+        assert any(row[0] in uppers for row in hist)
+        assert hist[-1][1] - hist[-1][0] <= 1e-3
+        warm = {c for c, is_warm in calls if is_warm}
+        checks = [c for c, is_warm in calls if not is_warm and c in warm]
+        assert len(checks) <= len(flipped) + 1
+
+    def test_fallback_without_negative_seed(self, scalar_logged, scalar_spec, scalar_consts,
+                                            monkeypatch):
+        class NoCertificate(speed.WeightedEnergy):
+            def value(self, u):
+                J, P, w = super().value(u)
+                return abs(J) + 1.0, P, w
+
+        monkeypatch.setattr(speed, "WeightedEnergy", NoCertificate)
+        lo = compute_bounds(scalar_spec, scalar_consts, 1.0).bracket_lo
+
+        def positive_at_lo(c, warm, res):
+            return dataclasses.replace(res, gamma=abs(res.gamma)) if c == lo else res
+
+        res, calls, _ = logged_find_speed(scalar_spec, scalar_consts, alter=positive_at_lo)
+        # the cold probe ran at the analytic lower end, then once below it
+        assert calls[:2] == [(lo, False), (lo / 1.5, False)]
+        assert res.bracket_history[0][0] == lo / 1.5
+        assert abs(res.c_star - scalar_logged[0].c_star) <= 1e-3
+
+
+def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeypatch):
+    runs = []
+    real = minimize._descent
+
+    def counted(spec, params, grid, values0, opts):
+        out = real(spec, params, grid, values0, opts)
+        runs.append((opts.max_iters, out[4]))
+        return out
+
+    monkeypatch.setattr(minimize, "_descent", counted)
+    wells = seed_points(decoupled_spec, decoupled_consts)
+    assert len(wells) == 3
+    grid = make_grid(decoupled_consts, 1.0, h=0.05)
+    res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5,
+                   MinimizeOptions(opt_tol=1e-5, restarts=0), wells)
+    race = [iters for cap, iters in runs if cap == 400]
+    assert len(race) == 3
+    assert res.iterations >= sum(race)
+    assert res.iterations == sum(iters for _, iters in runs)

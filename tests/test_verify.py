@@ -10,8 +10,8 @@ from gradwave import (
     Profile,
     ShootingDivergenceError,
     TailError,
-    initial_profile,
     minimize_profile,
+    segment_profile,
 )
 from gradwave.verify import (
     el_residual,
@@ -177,7 +177,7 @@ class TestShooting:
         # there is no wave at c = 0.8; a forced shoot must either diverge or
         # visibly disagree with the minimizer profile
         grid = Grid.uniform(-50.0, 21.0, 0.01)
-        init = initial_profile(scalar_spec, scalar_consts, grid)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
             MinimizeOptions(opt_tol=1e-6, restarts=0),
