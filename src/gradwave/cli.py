@@ -18,16 +18,19 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, auto_grid_bounds, build_potential, load_config
 from .errors import ConfigError, WaveSolverError
 from .functional import FunctionalParams, compute_bounds, energy
-from .potential import compute_constants, find_equilibria, validate_spec
+from .potential import compute_constants
 from .profile import Grid, read_csv, write_csv
 from .speed import find_speed, gamma_curve
 from .verify import run_verify
+
+# Nothing here calls these two: compute_constants validates and finds the
+# equilibria.  perfbench/layertrace.py wraps them by name until the next
+# benchmark change drops them (ROADMAP item 1).
+from .potential import find_equilibria, validate_spec  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -86,7 +89,6 @@ def _resolve_grid(cfg: RunConfig, consts, c_floor: float) -> Grid:
 def cmd_bounds(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.time()
     spec = build_potential(cfg)
-    validate_spec(spec)
     consts = compute_constants(spec)
     c_ref = cfg.c if cfg.c is not None else 1.0
     bounds = compute_bounds(spec, consts, c_ref)
@@ -112,7 +114,6 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.c is None and cfg.c_list is None:
         raise ConfigError("mode.c or mode.c_list is required for the gamma command")
     spec = build_potential(cfg)
-    validate_spec(spec)
     consts = compute_constants(spec)
     c_values = cfg.c_list if cfg.c_list is not None else [cfg.c]
     grid = _resolve_grid(cfg, consts, min(c_values))
@@ -158,7 +159,6 @@ def cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.c_tol is None:
         raise ConfigError("mode.c_tol is required for the speed command")
     spec = build_potential(cfg)
-    validate_spec(spec)
     consts = compute_constants(spec)
     bounds0 = compute_bounds(spec, consts, 1.0)
     grid = _resolve_grid(cfg, consts, bounds0.bracket_lo)
@@ -184,15 +184,10 @@ def cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     result["wave_csv"] = str(wave_path)
     result["bracket_csv"] = str(hist_path)
     # which equilibrium the left tail approaches is reported, never asserted
-    u_left = res.profile.values[0]
-    equilibria = find_equilibria(spec)
-    if equilibria:
-        nearest = min(equilibria, key=lambda q: float(np.linalg.norm(u_left - q)))
-        result["left_tail_well"] = [float(v) for v in nearest]
-        result["left_tail_distance"] = float(np.linalg.norm(u_left - nearest))
-    else:
-        result["left_tail_well"] = None
-        result["left_tail_distance"] = None
+    well = report_verify.left_tail_well
+    result["left_tail_well"] = None if well is None else [float(v) for v in well]
+    result["left_tail_distance"] = (
+        None if well is None else report_verify.checks["dist_to_equilibria"][0])
     bounds = compute_bounds(spec, consts, res.c_star)
     report = make_report(cfg, constants=consts, bounds=bounds, result=result,
                          verify=report_verify,
@@ -210,7 +205,6 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, profile_path: str) -> int:
     if cfg.c is None:
         raise ConfigError("mode.c is required for the verify command")
     spec = build_potential(cfg)
-    validate_spec(spec)
     consts = compute_constants(spec)
     profile = read_csv(profile_path, spec)
     gamma_hat = energy(spec, FunctionalParams(c=cfg.c, penalty_kappa=0.0), profile)

@@ -10,9 +10,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
+from .functional import decay_rate
 from .minimize import MinimizeOptions
 from .potential import PotentialSpec, decoupled_quartic, scalar_cubic, user_polynomial
 
@@ -236,5 +235,4 @@ def build_potential(cfg: RunConfig) -> PotentialSpec:
 
 def auto_grid_bounds(consts, c_floor: float) -> tuple:
     """Default truncation: left tail sized by the weight, right by the decay rate."""
-    lam = 0.5 * (c_floor + float(np.sqrt(c_floor * c_floor + 4.0 * consts.mu)))
-    return -40.0 / c_floor, 40.0 / lam
+    return -40.0 / c_floor, 40.0 / decay_rate(consts, c_floor)

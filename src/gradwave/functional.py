@@ -163,6 +163,11 @@ def objective(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -
     return J + P
 
 
+def decay_rate(consts: PotentialConstants, c: float) -> float:
+    """Positive root of the tail characteristic equation at speed c."""
+    return float(0.5 * (c + np.sqrt(c * c + 4.0 * consts.mu)))
+
+
 def compute_bounds(spec: PotentialSpec, consts: PotentialConstants, c: float) -> BoundsReport:
     """Analytic lower/upper bounds on the minimum energy and the root bracket."""
     if not c > 0:

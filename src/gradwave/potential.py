@@ -34,6 +34,13 @@ PROJ_MAX_ITER = 100
 # potential values above this magnitude count as properly signed; below it
 # they are treated as roundoff noise around the zero level
 NEG_TOL = 1e-12
+# random points at which validation compares the gradient with finite differences
+FD_POINTS = 16
+# find_equilibria: Newton starts per axis (dim <= 2), |DW| that counts as a
+# root, and the iteration cap
+EQ_PER_AXIS = 15
+EQ_TOL = 1e-10
+EQ_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,16 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class PotentialConstants:
-    """Analytic constants of a potential used by the energy bounds.
+    """What the solver needs to know about a potential, from one analysis pass.
 
     m is the depth of the deepest well (-inf W), attained at ``point_a``;
     M is the largest potential value on the straight segment from a to b;
     d is the distance from b to the negative region; mu is the smallest
-    eigenvalue of the Hessian at b.
+    eigenvalue of the Hessian at b.  These are the constants of the energy
+    bounds and the only ones ``as_dict`` reports.  ``equilibria`` holds the
+    negative-potential critical points in ``find_equilibria`` order: the
+    states the left tail of a wave can approach, and (those that are local
+    minima) the wells cold minimizations start from.
     """
 
     m: float
@@ -80,6 +91,7 @@ class PotentialConstants:
     M: float
     d: float
     mu: float
+    equilibria: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -344,13 +356,23 @@ def evaluate(spec: PotentialSpec, point) -> float:
     return float(spec.value(p))
 
 
-def validate_spec(spec: PotentialSpec, rng=None, n_fd_points: int = 16) -> None:
+def validate_spec(spec: PotentialSpec) -> None:
     """Check the structural assumptions on a potential.
 
     Raises AssumptionViolationError if the reference well is not a proper
     nondegenerate zero-minimum, if no negative region exists inside the box,
     if the potential dips negative on the box boundary, or if the gradient
     callback disagrees with finite differences of the value callback.
+    ``compute_constants`` runs the same checks on its own scan.
+    """
+    _check_assumptions(spec)
+
+
+def _check_assumptions(spec: PotentialSpec):
+    """The checks of ``validate_spec``, returning what they computed.
+
+    Returns the Hessian eigenvalues at b, the scan points of the box and W on
+    them, so that ``compute_constants`` builds and evaluates the scan once.
     """
     b = spec.well_b
     if abs(float(spec.value(b))) > 1e-12:
@@ -372,10 +394,10 @@ def validate_spec(spec: PotentialSpec, rng=None, n_fd_points: int = 16) -> None:
     if np.any(spec.value(bpts) < 0):
         raise AssumptionViolationError("potential is negative on the bounding-box boundary")
 
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
     h = 1e-4
-    for _ in range(n_fd_points):
+    for _ in range(FD_POINTS):
         p = lo + (hi - lo) * rng.random(spec.dim)
         g = np.asarray(spec.gradient(p), dtype=float)
         fd = np.empty(spec.dim)
@@ -388,6 +410,7 @@ def validate_spec(spec: PotentialSpec, rng=None, n_fd_points: int = 16) -> None:
             raise AssumptionViolationError(
                 "gradient callback disagrees with finite differences of the value"
             )
+    return eigs, pts, w
 
 
 def _scan_resolution(dim: int) -> int:
@@ -418,14 +441,17 @@ def _boundary_points(spec: PotentialSpec, per_axis: int) -> np.ndarray:
     return np.concatenate(pts, axis=0)
 
 
-def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> PotentialConstants:
-    """Locate the analytic constants by grid scan plus local refinement."""
-    per_axis = scan_per_axis or _scan_resolution(spec.dim)
+def compute_constants(spec: PotentialSpec) -> PotentialConstants:
+    """Validate the potential and analyse it once.
+
+    Runs the checks of ``validate_spec``, then locates the analytic
+    constants on the same grid scan plus local refinement, and finds the
+    negative-potential equilibria.
+    """
+    eigs, pts, w = _check_assumptions(spec)
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
     b = spec.well_b
 
-    pts = _scan_points(spec, per_axis)
-    w = spec.value(pts)
     neg = w < -NEG_TOL
     if not np.any(neg):
         raise AssumptionViolationError("no negative region found inside the bounding box")
@@ -458,7 +484,7 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
 
     # largest value of W on the segment from a to b
     seg = lambda t: point_a + np.multiply.outer(np.asarray(t), b - point_a)
-    ts = np.linspace(0.0, 1.0, per_axis)
+    ts = np.linspace(0.0, 1.0, _scan_resolution(spec.dim))
     seg_vals = spec.value(seg(ts))
     i = int(np.argmax(seg_vals))
     t_lo, t_hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
@@ -483,14 +509,8 @@ def compute_constants(spec: PotentialSpec, scan_per_axis: int | None = None) -> 
     if d <= 0:
         raise AssumptionViolationError("negative region touches the reference well")
 
-    eigs = np.linalg.eigvalsh(spec.hessian(b))
-    mu = float(eigs[0])
-    if mu <= 0:
-        raise AssumptionViolationError(
-            "Hessian at the reference well is not positive definite"
-        )
-
-    return PotentialConstants(m=float(m), point_a=point_a, M=float(M), d=float(d), mu=mu)
+    return PotentialConstants(m=float(m), point_a=point_a, M=float(M), d=float(d),
+                              mu=float(eigs[0]), equilibria=tuple(find_equilibria(spec)))
 
 
 def _smallest(x: np.ndarray, k: int) -> np.ndarray:
@@ -558,12 +578,7 @@ def _newton_steps(H: np.ndarray, g: np.ndarray):
     return step, solved
 
 
-def find_equilibria(
-    spec: PotentialSpec,
-    per_axis: int = 15,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-) -> list[np.ndarray]:
+def find_equilibria(spec: PotentialSpec) -> list[np.ndarray]:
     """Critical points of the potential with negative value, inside the box.
 
     Damped Newton on the gradient from a coarse grid of starting points, all
@@ -577,7 +592,7 @@ def find_equilibria(
     equilibria set that the left tail of a wave profile can approach.
     """
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
-    per_axis = per_axis if spec.dim <= 2 else max(5, int(round(3000 ** (1 / spec.dim))))
+    per_axis = EQ_PER_AXIS if spec.dim <= 2 else max(5, int(round(3000 ** (1 / spec.dim))))
     axes = [np.linspace(a, b, per_axis) for a, b in spec.bounding_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     q_all = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -585,11 +600,11 @@ def find_equilibria(
 
     converged = np.zeros(len(q_all), dtype=bool)
     active = np.arange(len(q_all))
-    for _ in range(max_iter):
+    for _ in range(EQ_MAX_ITER):
         q = q_all[active]
         g = np.asarray(spec.gradient(q), dtype=float)
         gn = _row_norms(g)
-        done = gn <= tol
+        done = gn <= EQ_TOL
         converged[active[done]] = True
         run = ~done
         active, q, g, gn = active[run], q[run], g[run], gn[run]
@@ -630,13 +645,12 @@ def find_equilibria(
     return list(found[:n_found])
 
 
-def well_minima(spec: PotentialSpec) -> list[np.ndarray]:
-    """Equilibria with negative potential that are local minima (definite Hessian)."""
-    eq = find_equilibria(spec)
-    if not eq:
+def well_minima(spec: PotentialSpec, equilibria) -> list[np.ndarray]:
+    """The equilibria that are local minima (definite Hessian), in their order."""
+    if not equilibria:
         return []
-    lowest = np.linalg.eigvalsh(np.asarray(spec.hessian(np.array(eq)), dtype=float))[:, 0]
-    return [q for q, e in zip(eq, lowest) if e > 0]
+    lowest = np.linalg.eigvalsh(np.asarray(spec.hessian(np.array(equilibria)), dtype=float))[:, 0]
+    return [q for q, e in zip(equilibria, lowest) if e > 0]
 
 
 def project_to_zero_set(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketFailureError, ContractViolationError, NotAWaveError
-from .functional import FunctionalParams, WeightedEnergy, compute_bounds
+from .functional import FunctionalParams, WeightedEnergy, compute_bounds, decay_rate
 from .minimize import GammaResult, MinimizeOptions, minimize_from_seeds, minimize_profile
 from .potential import PotentialConstants, PotentialSpec, well_minima
 from .profile import Grid, Profile, interpolate, segment_profile, translate_to_crossing
@@ -81,11 +81,6 @@ def gamma_zero_tol(consts: PotentialConstants, c: float) -> float:
     return 5e-3 * (1.0 + consts.m / c)
 
 
-def decay_rate(consts: PotentialConstants, c: float) -> float:
-    """Positive root of the tail characteristic equation at speed c."""
-    return 0.5 * (c + np.sqrt(c * c + 4.0 * consts.mu))
-
-
 def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
     """Sub-range of a grid sized for one speed: x in [-40/c, 40/decay_rate]."""
     nodes = grid.nodes
@@ -111,7 +106,7 @@ def transfer_profile(profile: Profile, grid: Grid, well_b) -> Profile:
 def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndarray]:
     """Distinct negative-region wells to seed cold minimizations from."""
     points = [np.asarray(consts.point_a, dtype=float)]
-    for q in well_minima(spec):
+    for q in well_minima(spec, consts.equilibria):
         if all(np.linalg.norm(q - p) > 1e-6 for p in points):
             points.append(q)
     return points

@@ -1,10 +1,14 @@
 """Command-line front end: config validation, runs, reports, round trips."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
+import gradwave.cli
+import gradwave.potential
+import gradwave.verify
 from gradwave import Grid, Profile, write_csv
 from gradwave.cli import main
 from conftest import X0_TANH
@@ -334,3 +338,43 @@ directory = {out}
         assert main(["verify", "--config", cfg, "--profile", str(path)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["verify"]["decay_rate"]["pass"] is False
+
+
+class TestPotentialAnalysedOnce:
+    def test_speed_and_verify_scan_and_search_once(self, tmp_path, monkeypatch):
+        # compute_constants validates on its one scan and carries the
+        # equilibria, so no later step repeats either
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        find_equilibria = counted("find_equilibria", gradwave.potential.find_equilibria)
+        for module in (gradwave.potential, gradwave.cli, gradwave.verify):
+            monkeypatch.setattr(module, "find_equilibria", find_equilibria)
+        monkeypatch.setattr(gradwave.potential, "_scan_points",
+                            counted("_scan_points", gradwave.potential._scan_points))
+
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=out))
+        assert main(["speed", "--config", cfg]) == 0
+        assert calls == {"find_equilibria": 1, "_scan_points": 1}
+
+        calls.clear()
+        c_star = json.loads((out / "report.json").read_text())["result"]["c_star"]
+        cfg2 = write_config(tmp_path, f"""
+[potential]
+variant = scalar_cubic
+alpha = 0.6
+
+[mode]
+c = {c_star!r}
+
+[output]
+directory = {tmp_path / "out2"}
+""", name="verify.ini")
+        assert main(["verify", "--config", cfg2, "--profile", str(out / "wave.csv")]) == 0
+        assert calls == {"find_equilibria": 1, "_scan_points": 1}

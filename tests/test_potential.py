@@ -1,5 +1,7 @@
 """Potential evaluation, analytic constants, and zero-set projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,15 +118,6 @@ class TestConstants:
         assert 0.0 == pytest.approx(w([1, 1]), abs=1e-14)
         assert w([1, 1]) > w([-1, 1]) >= w([1, -1]) > w([-1, -1])
 
-    def test_no_negative_region_rejected(self):
-        # a single well at the origin with no negative set
-        spec = user_polynomial(1, [(1.0, [2])], [0.0], [[-2.0, 2.0]])
-        with pytest.raises(AssumptionViolationError):
-            compute_constants(spec)
-        with pytest.raises(AssumptionViolationError):
-            validate_spec(spec)
-
-
     def test_permuted_terms_accepted(self):
         # summing the same 13 coefficients in another order leaves W(b) a few
         # ulp below zero; that is roundoff, not a negative region at the well
@@ -220,6 +213,46 @@ def test_hessian_rows_match_points(make, lead):
     points = np.stack([spec.hessian(p) for p in u.reshape(-1, dim)])
     np.testing.assert_array_equal(H, points.reshape(H.shape))
     np.testing.assert_array_equal(H, np.swapaxes(H, -1, -2))
+
+
+def _doubled_gradient():
+    spec = scalar_cubic(0.6)
+    return dataclasses.replace(spec, gradient=lambda u: 2.0 * spec.gradient(u))
+
+
+# one potential per assumption check, each breaking only that check, with its message
+INVALID_SPECS = {
+    "value_at_b": (
+        lambda: user_polynomial(1, quartic_well_terms((0.6,)) + [(0.1, [0])], [1.0],
+                                [[-2.0, 2.0]]),
+        "potential is not zero at the reference well"),
+    "gradient_at_b": (
+        lambda: user_polynomial(1, quartic_well_terms((0.6,)) + [(1e-3, [1]), (-1e-3, [0])],
+                                [1.0], [[-2.0, 2.0]]),
+        "gradient does not vanish at the reference well"),
+    "indefinite_hessian_at_b": (
+        lambda: user_polynomial(1, [(-1.0, [2])], [0.0], [[-2.0, 2.0]]),
+        "Hessian at the reference well is not positive definite (min eig -2)"),
+    "no_negative_region": (
+        lambda: user_polynomial(1, [(1.0, [2])], [0.0], [[-2.0, 2.0]]),
+        "no negative region found inside the bounding box"),
+    "negative_on_boundary": (
+        lambda: user_polynomial(1, quartic_well_terms((0.6,)), [1.0], [[-1.2, 2.0]]),
+        "potential is negative on the bounding-box boundary"),
+    "gradient_disagrees_with_fd": (
+        _doubled_gradient,
+        "gradient callback disagrees with finite differences of the value"),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_SPECS))
+def test_assumption_violation_raised_by_both_entry_points(name):
+    make, message = INVALID_SPECS[name]
+    spec = make()
+    for check in (validate_spec, compute_constants):
+        with pytest.raises(AssumptionViolationError) as err:
+            check(spec)
+        assert str(err.value) == message, check.__name__
 
 
 class TestValidate:
@@ -396,7 +429,7 @@ def test_batched_equilibria_match_serial(name):
     if name == "singular_hessian":
         assert len(ref) == 40
     ref_wells = serial_well_minima(spec, ref)
-    got_wells = well_minima(spec)
+    got_wells = well_minima(spec, got)
     assert len(got_wells) == len(ref_wells) > 0
     for q, r in zip(got_wells, ref_wells):
         assert np.array_equal(q, r)
