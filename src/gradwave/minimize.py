@@ -1,12 +1,18 @@
 """Constrained minimization of the weighted energy over profiles.
 
-The minimizer runs projected gradient descent with Armijo backtracking.
-Steps are taken along the Riesz representative of the discrete gradient in
-the weighted H^1 inner product (a tridiagonal solve per step); this is still
-a memoryless gradient method, but its convergence rate does not degrade as
-the grid is refined, which a raw Euclidean gradient step cannot offer.  The
-node pinned at 0 is re-projected onto the zero level set after every step,
-and the profile is recentered if the constraint crossing drifts.
+The minimizer is a projected Newton method with Armijo backtracking from
+the full step.  The Hessian of the discrete energy is block tridiagonal, so
+flattened node by node it is a band matrix of half-bandwidth 2 dim - 1, and
+a step costs one band Cholesky factorisation and solve.  At the node pinned
+at 0 the Hessian of the Lagrangian is restricted to the tangent space of
+the zero level set; after every step that node is projected back onto the
+level set, and the profile is recentered if the constraint crossing drifts.
+Where the Hessian is indefinite, as it can be far from a minimizer, it is
+shifted by a growing multiple of the lumped mass until the factorisation
+succeeds.  Convergence is judged by the norm of the gradient's Riesz
+representative in the weighted H^1 inner product (a tridiagonal solve),
+which does not degrade as the grid is refined.  A race between seeds gives
+each a few Newton steps and minimizes only the best.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, InfeasibleMinimizerError, WaveSolverError
@@ -21,9 +28,7 @@ from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_
 from .potential import PotentialConstants, PotentialSpec, project_to_zero_set
 from .profile import Grid, Profile, translate_to_crossing
 
-# Nothing here calls these two: perfbench/layertrace.py wraps them by name until
-# the next benchmark change points it at the dpttrs solve (ROADMAP item 1).
-from scipy.linalg import cho_solve_banded  # noqa: F401
+# Nothing here calls this: perfbench/layertrace.py wraps it by name.
 from .functional import cell_weights  # noqa: F401
 
 
@@ -77,13 +82,21 @@ class GammaResult:
 
 # drift of the sign constraint beyond this triggers a recentering pass
 _RETRANSLATE_TRIGGER = 1e-3
-_STEP_CAP = 8.0
 # below this displacement norm a line-search stall counts as converged: the
 # remaining energy decrement is under the double-precision resolution of the
 # objective, so no value-based search can resolve it
 _FLOOR_PG_CAP = 1e-5
 _PLATEAU_SPAN = 60
 _PLATEAU_F_GAIN = 3e-11
+# an indefinite Hessian is shifted by sigma * lump, sigma growing from the
+# first value by the factor until the band Cholesky factorisation succeeds
+_SHIFT_FIRST = 1e-2
+_SHIFT_GROWTH = 4.0
+_SHIFT_MAX = 1e12
+# Newton steps each seed of a race takes before the best one is minimized;
+# run longer, a seed from the wrong well can settle on a local minimum that
+# keeps an extra front where the weight is negligible
+_RACE_BUDGET = 4
 
 
 def _factor_preconditioner(op: WeightedEnergy, sigma: float):
@@ -108,8 +121,93 @@ def _tangential(v, normal):
     return v - (v @ nhat) * nhat
 
 
+def _band_hessian(op: WeightedEnergy, u, w, dw, g_iz):
+    """Hessian of energy + penalty on the free nodes, in lower band storage.
+
+    Node-major order, so node i's component k is unknown i * dim + k and the
+    half-bandwidth is 2 dim - 1; row r of the result holds the r-th
+    subdiagonal (``scipy.linalg.cholesky_banded`` with ``lower=True``).  The
+    right node is fixed and dropped.  At the node pinned at 0 the block is
+    the Hessian of the Lagrangian, restricted to the tangent space of the
+    zero level set: with normal n = DW, multiplier lam = g_iz . n / |n|^2 and
+    projector P = I - n n^T / |n|^2, the diagonal block is
+    P (H - lam D^2 W) P + n n^T / |n|^2 and its two coupling blocks are
+    multiplied by P, so the step at that node is tangential.
+    """
+    spec, iz, dim = op.spec, op.iz, op.spec.dim
+    m = u.shape[0] - 1
+    stiff = op.stiff[:, 0]
+    hess = np.asarray(spec.hessian(u[:-1]), dtype=float)
+    blocks = op.lump[:-1, 0, None, None] * hess
+    stiff_diag = stiff.copy()
+    stiff_diag[1:] += stiff[:-1]
+    eye = np.arange(dim)
+    blocks[:, eye, eye] += stiff_diag[:, None]
+    wp = w[iz:-1]
+    neg = np.flatnonzero(wp < 0.0)
+    if op.kappa > 0 and neg.size:
+        # second derivative of (pen_w / 2) min(W, 0)^2
+        dn, nodes = dw[iz + neg], iz + neg
+        blocks[nodes] += op.pen_node_w[neg, 0, None, None] * (
+            dn[:, :, None] * dn[:, None, :] + wp[neg, None, None] * hess[nodes])
+
+    normal = dw[iz]
+    nrm2 = float(normal @ normal)
+    proj = None
+    if nrm2 >= 1e-24 and iz < m:
+        nhat = normal / np.sqrt(nrm2)
+        proj = np.eye(dim) - np.outer(nhat, nhat)
+        lam = float(g_iz @ normal) / nrm2
+        blocks[iz] = proj @ (blocks[iz] - lam * hess[iz]) @ proj + np.outer(nhat, nhat)
+
+    ab = np.zeros((2 * dim, m * dim))
+    for k in range(dim):
+        for l in range(k + 1):
+            ab[k - l, l::dim] = blocks[:, k, l]
+    ab[dim, :(m - 1) * dim] = -np.repeat(stiff[:m - 1], dim)
+    if proj is not None:
+        # coupling blocks between node iz and its neighbours: -stiff * P
+        for i in (iz - 1, iz):
+            if 0 <= i < m - 1:
+                for k in range(dim):
+                    for l in range(dim):
+                        ab[dim + k - l, i * dim + l] = -stiff[i] * proj[k, l]
+    return ab
+
+
+def _newton_direction(op: WeightedEnergy, ab, g):
+    """Solve the band Hessian system for g, shifting it until it is positive definite.
+
+    Returns None when no shift up to ``_SHIFT_MAX`` makes the factorisation
+    succeed, which takes a non-finite Hessian.
+    """
+    shift = op.lump[:-1].ravel()
+    sigma = 0.0
+    while sigma <= _SHIFT_MAX:
+        shifted = ab
+        if sigma > 0.0:
+            shifted = ab.copy()
+            shifted[0] += sigma * shift
+        try:
+            factor = cholesky_banded(shifted, lower=True)
+        except (np.linalg.LinAlgError, ValueError):
+            sigma = _SHIFT_FIRST if sigma == 0.0 else sigma * _SHIFT_GROWTH
+            continue
+        d = np.zeros_like(g)
+        d[:-1] = cho_solve_banded((factor, True), g[:-1].ravel()).reshape(-1, g.shape[1])
+        return d
+    return None
+
+
 def _descent(spec, params, grid, values0, opts):
-    """One descent run from a given admissible starting array.
+    """One band-Newton descent run from a given admissible starting array.
+
+    Each step solves the band Hessian system for the gradient (see
+    ``_band_hessian``), shifting an indefinite Hessian by a multiple of the
+    lumped mass, and an Armijo search from the full step accepts it after
+    projecting the node pinned at 0 back onto the zero level set.  The
+    stopping test is the displacement norm of the weighted H^1 gradient
+    step, so ``opt_tol`` is independent of the step taken.
 
     Returns the final node values, energy, feasibility violation,
     displacement norm, iteration count and convergence flag.  Exits converged
@@ -127,8 +225,6 @@ def _descent(spec, params, grid, values0, opts):
     u = values0.copy()
     J, P, w = op.value(u)
     F = J + P
-    t = 1.0
-    last_backtracks = 0
     pg_norm = np.inf
     iterations = 0
     converged = False
@@ -139,6 +235,7 @@ def _descent(spec, params, grid, values0, opts):
     for iterations in range(1, opts.max_iters + 1):
         g, dw = op.grad(u, w)
         nu0 = dw[iz]
+        g_iz = g[iz].copy()
         g[iz] = _tangential(g[iz], nu0)
 
         d = np.empty_like(u)
@@ -161,17 +258,16 @@ def _descent(spec, params, grid, values0, opts):
             converged = pg_norm <= _FLOOR_PG_CAP
             break
 
+        newton = _newton_direction(op, _band_hessian(op, u, w, dw, g_iz), g)
+        if newton is not None:
+            d = newton
         slope = float(np.vdot(g, d))
         if slope <= 0.0:
-            d = g / (1.0 + op.lump)
-            slope = float(np.vdot(g, d))
-            if slope <= 0.0:
-                converged = pg_norm <= _FLOOR_PG_CAP
-                break
+            converged = pg_norm <= _FLOOR_PG_CAP
+            break
 
         accepted = False
-        n_back = 0
-        t = min(t * 1.25, _STEP_CAP) if last_backtracks <= 1 else t
+        t = 1.0
         while t > 1e-13:
             trial = u - t * d
             trial[-1] = well
@@ -181,7 +277,6 @@ def _descent(spec, params, grid, values0, opts):
                     trial[iz] = project_to_zero_set(spec, np.clip(q, lo, hi))
             except WaveSolverError:
                 t *= opts.armijo_shrink
-                n_back += 1
                 continue
             J_t, P_t, w_t = op.value(trial)
             if J_t + P_t <= F - opts.armijo_c1 * t * slope:
@@ -189,8 +284,6 @@ def _descent(spec, params, grid, values0, opts):
                 accepted = True
                 break
             t *= opts.armijo_shrink
-            n_back += 1
-        last_backtracks = n_back
         if not accepted:
             converged = pg_norm <= _FLOOR_PG_CAP
             break
@@ -299,14 +392,14 @@ def minimize_from_seeds(
     grid: Grid,
     seeds,
     opts: MinimizeOptions,
-    budget: int = 400,
 ) -> GammaResult:
     """Race several starting profiles, then fully minimize the best one.
 
-    Each seed runs a budgeted descent; the seed with the lowest feasible
-    objective continues to full convergence.  Racing from several wells
-    avoids the slow escape of energy-carrying structure that a single seed
-    may contain.  The reported iterations include the race budgets spent.
+    Each seed runs ``_RACE_BUDGET`` Newton steps; the seed with the lowest
+    feasible objective continues to full convergence.  Racing from several
+    wells avoids the slow escape of energy-carrying structure that a single
+    seed may contain.  The reported iterations include the race budgets
+    spent.
     """
     seeds = list(seeds)
     if not seeds:
@@ -314,7 +407,7 @@ def minimize_from_seeds(
     if len(seeds) == 1:
         return minimize_profile(spec, consts, params, grid, seeds[0], opts)
 
-    budget_opts = replace(opts, max_iters=budget, restarts=0)
+    budget_opts = replace(opts, max_iters=_RACE_BUDGET, restarts=0)
     scored = []
     race_iters = 0
     for init in seeds:

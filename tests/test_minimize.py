@@ -15,11 +15,15 @@ from gradwave import (
     segment_profile,
 )
 from gradwave.functional import WeightedEnergy, cell_weights
-from gradwave.minimize import _factor_preconditioner
-from gradwave.potential import PROJ_TOL
+from gradwave.minimize import (
+    _band_hessian, _descent, _factor_preconditioner, _newton_direction, _tangential,
+)
+from gradwave.potential import PROJ_TOL, project_to_zero_set
+from gradwave.profile import translate_to_crossing
 from gradwave.speed import speed_subgrid
 from scipy.linalg.lapack import dpttrs
 from conftest import make_grid
+from test_functional import dip_profile
 
 
 class TestMinimizeScalar:
@@ -176,16 +180,22 @@ class TestMultistart:
 
 
 class TestErrors:
-    def test_infeasible_minimizer_rejected(self, scalar_spec, scalar_consts):
+    def test_infeasible_minimizer_rejected(self):
         # with an absurdly small tolerance even the roundoff-level negativity
-        # of the flat right tail counts as a violation at convergence
-        from gradwave import InfeasibleMinimizerError
+        # of the flat right tail counts as a violation at convergence; the
+        # monomial table sums cancelling terms near the well, so it has some
+        from gradwave import InfeasibleMinimizerError, compute_constants, user_polynomial
 
+        alpha = 0.6
+        terms = [(0.5, [4]), (-alpha / 3.0, [3]), (-1.0, [2]), (alpha, [1]),
+                 (0.5 - 2.0 * alpha / 3.0, [0])]
+        spec = user_polynomial(1, terms, [1.0], [[-2.0, 2.0]])
+        consts = compute_constants(spec)
         grid = Grid.uniform(-30.0, 15.0, 0.02)
-        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
+        init = segment_profile(spec, grid, consts.point_a)
         with pytest.raises(InfeasibleMinimizerError):
             minimize_profile(
-                scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
+                spec, consts, FunctionalParams(c=0.6), grid, init,
                 MinimizeOptions(opt_tol=1e-6, restarts=0, feas_tol=1e-30),
             )
 
@@ -235,3 +245,203 @@ class TestPreconditioner:
         op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.6), grid)
         with pytest.raises(WaveSolverError, match="dpttrf"):
             _factor_preconditioner(op, sigma=-1e3)
+
+
+def dense_from_band(ab):
+    """Symmetric dense matrix of a lower band storage array."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for r in range(ab.shape[0]):
+        j = np.arange(n - r)
+        A[j + r, j] = ab[r, :n - r]
+        A[j, j + r] = ab[r, :n - r]
+    return A
+
+
+def perturbed_profile(spec, consts):
+    g = Grid.uniform(-6.0, 5.0, 0.1)
+    base = segment_profile(spec, g, consts.point_a)
+    vals = base.values + 0.15 * np.random.default_rng(11).standard_normal(base.values.shape)
+    vals[-1] = base.well_b
+    return base.with_values(vals), FunctionalParams(c=0.9, penalty_kappa=50.0)
+
+
+class TestBandHessian:
+    """The assembled Hessian against central differences of the exact gradient."""
+
+    def check(self, spec, profile, params):
+        op = WeightedEnergy(spec, params, profile.grid)
+        u, iz, dim = profile.values, profile.grid.index_zero, spec.dim
+        w = spec.value(u)
+        g, dw = op.grad(u, w)
+        A = dense_from_band(_band_hessian(op, u, w, dw, g[iz]))
+        assert A.shape == ((u.shape[0] - 1) * dim,) * 2
+
+        # a node iz at a critical point of W (as in dip_profile) is unconstrained
+        nrm = float(np.linalg.norm(dw[iz]))
+        nhat = dw[iz] / nrm if nrm > 0 else np.zeros(dim)
+        proj = np.eye(dim) - np.outer(nhat, nhat)
+        lam = float(g[iz] @ dw[iz]) / nrm**2 if nrm > 0 else 0.0
+        v = np.random.default_rng(5).standard_normal(u.shape)
+        v[-1] = 0.0
+        v[iz] = proj @ v[iz]
+        eps = 1e-6
+        up, um = u + eps * v, u - eps * v
+        fd = (op.grad(up, spec.value(up))[0] - op.grad(um, spec.value(um))[0]) / (2 * eps)
+        # at node iz: the Lagrangian's Hessian, restricted to the tangent space
+        dn = (spec.gradient(up[iz]) - spec.gradient(um[iz])) / (2 * eps)
+        fd[iz] = proj @ (fd[iz] - lam * dn)
+        Av = (A @ v[:-1].ravel()).reshape(-1, dim)
+        for got, want in zip(Av.ravel(), fd[:-1].ravel()):
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-7)
+
+        if nrm > 0:
+            # the normal direction at node iz maps to itself and couples to nothing
+            e = np.zeros_like(u[:-1])
+            e[iz] = nhat
+            Ae = (A @ e.ravel()).reshape(-1, dim)
+            np.testing.assert_allclose(Ae, e, rtol=0, atol=1e-12)
+        return op, w
+
+    @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
+    def test_matches_gradient_differences(self, builtin, scalar_spec, decoupled_spec,
+                                          scalar_consts, decoupled_consts):
+        spec = scalar_spec if builtin == "scalar" else decoupled_spec
+        consts = scalar_consts if builtin == "scalar" else decoupled_consts
+        profile, params = perturbed_profile(spec, consts)
+        self.check(spec, profile, params)
+
+    def test_matches_with_active_penalty(self, scalar_spec):
+        profile, dip = dip_profile(scalar_spec)
+        op, w = self.check(scalar_spec, profile, FunctionalParams(c=1.0, penalty_kappa=10.0))
+        assert np.all(w[dip] < 0) and op.kappa > 0
+
+    def test_indefinite_hessian_shifted_by_lumped_mass(self, scalar_spec):
+        # -I has no Cholesky factor; the step solves (-I + sigma diag(lump)) d = g
+        grid = Grid.uniform(-2.0, 2.0, 0.1)
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.6), grid)
+        ab = -np.ones((2, grid.n_nodes - 1))
+        ab[1] = 0.0
+        g = np.random.default_rng(2).uniform(0.5, 1.0, (grid.n_nodes, 1))
+        d = _newton_direction(op, ab, g)
+        assert d[-1, 0] == 0.0 and float(np.vdot(g, d)) > 0.0
+        sigma = (g[:-1, 0] / d[:-1, 0] + 1.0) / op.lump[:-1, 0]
+        np.testing.assert_allclose(sigma, sigma[0], rtol=1e-12)
+        assert sigma[0] > 1.0 / op.lump[:-1, 0].min()
+
+
+def first_order_descent(spec, params, grid, values0, opts):
+    """Reference: the projected H^1-preconditioned gradient descent, verbatim.
+
+    Steps along the weighted H^1 gradient with Armijo backtracking, a
+    step-growth rule and a plateau detector; the stopping test is the one
+    ``_descent`` keeps.
+    """
+    _RETRANSLATE_TRIGGER = 1e-3
+    _STEP_CAP = 8.0
+    _FLOOR_PG_CAP = 1e-5
+    _PLATEAU_SPAN = 60
+    _PLATEAU_F_GAIN = 3e-11
+    op = WeightedEnergy(spec, params, grid)
+    iz = grid.index_zero
+    mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
+    d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)
+    well = np.asarray(spec.well_b, dtype=float)
+    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
+
+    u = values0.copy()
+    J, P, w = op.value(u)
+    F = J + P
+    t = 1.0
+    last_backtracks = 0
+    pg_norm = np.inf
+    iterations = 0
+    converged = False
+    plateau_best = np.inf
+    plateau_mark = 0
+    plateau_F = F
+
+    for iterations in range(1, opts.max_iters + 1):
+        g, dw = op.grad(u, w)
+        nu0 = dw[iz]
+        g[iz] = _tangential(g[iz], nu0)
+
+        d = np.empty_like(u)
+        d[:-1] = dpttrs(d_fac, e_fac, g[:-1])[0]
+        d[-1] = 0.0
+        d[iz] = _tangential(d[iz], nu0)
+
+        pg_norm = float(np.sqrt(np.vdot(op.lump * d, d)))
+        if pg_norm <= opts.opt_tol:
+            converged = True
+            break
+
+        if pg_norm < 0.99 * plateau_best or plateau_F - F > _PLATEAU_F_GAIN * (1.0 + abs(F)):
+            plateau_best = min(plateau_best, pg_norm)
+            plateau_mark = iterations
+            plateau_F = F
+        elif iterations - plateau_mark >= _PLATEAU_SPAN:
+            converged = pg_norm <= _FLOOR_PG_CAP
+            break
+
+        slope = float(np.vdot(g, d))
+        if slope <= 0.0:
+            d = g / (1.0 + op.lump)
+            slope = float(np.vdot(g, d))
+            if slope <= 0.0:
+                converged = pg_norm <= _FLOOR_PG_CAP
+                break
+
+        accepted = False
+        n_back = 0
+        t = min(t * 1.25, _STEP_CAP) if last_backtracks <= 1 else t
+        while t > 1e-13:
+            trial = u - t * d
+            trial[-1] = well
+            try:
+                q = trial[iz]
+                if abs(float(spec.value(q))) > 1e-10:
+                    trial[iz] = project_to_zero_set(spec, np.clip(q, lo, hi))
+            except WaveSolverError:
+                t *= opts.armijo_shrink
+                n_back += 1
+                continue
+            J_t, P_t, w_t = op.value(trial)
+            if J_t + P_t <= F - opts.armijo_c1 * t * slope:
+                u, J, P, w, F = trial, J_t, P_t, w_t, J_t + P_t
+                accepted = True
+                break
+            t *= opts.armijo_shrink
+            n_back += 1
+        last_backtracks = n_back
+        if not accepted:
+            converged = pg_norm <= _FLOOR_PG_CAP
+            break
+
+        if op.violation(w) > _RETRANSLATE_TRIGGER:
+            prof = translate_to_crossing(spec, Profile(grid=grid, values=u, well_b=well))
+            u = prof.values.copy()
+            J, P, w = op.value(u)
+            F = J + P
+
+    return u, J, op.violation(w), pg_norm, iterations, converged
+
+
+@pytest.mark.parametrize("builtin, c", [
+    ("scalar", 0.4), ("scalar", 0.6), ("scalar", 0.9),
+    ("decoupled", 0.8), ("decoupled", 1.2), ("decoupled", 2.0),
+])
+def test_newton_matches_first_order_descent(builtin, c, scalar_spec, decoupled_spec,
+                                            scalar_consts, decoupled_consts):
+    spec = scalar_spec if builtin == "scalar" else decoupled_spec
+    consts = scalar_consts if builtin == "scalar" else decoupled_consts
+    # the decoupled wave leaves the well (1, -1); a seed there needs no front shed
+    left = consts.point_a if builtin == "scalar" else np.array([1.0, -1.0])
+    grid = speed_subgrid(make_grid(consts, c, h=0.05), consts, c)
+    start = translate_to_crossing(spec, segment_profile(spec, grid, left)).values
+    params, opts = FunctionalParams(c=c), MinimizeOptions(restarts=0)
+    *_, ref_iters, ref_conv = ref = first_order_descent(spec, params, grid, start, opts)
+    *_, iters, conv = got = _descent(spec, params, grid, start, opts)
+    assert conv and ref_conv
+    assert iters * 10 <= ref_iters
+    assert abs(got[1] - ref[1]) <= 1e-8 * (1.0 + abs(ref[1]))

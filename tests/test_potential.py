@@ -1,6 +1,7 @@
 """Potential evaluation, analytic constants, and zero-set projection."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ class TestKernels:
         assert abs(_quartic_well(1.0, c)) <= 1e-15
         assert abs(float(_quartic_well(np.array([1.0]), c)[0])) <= 1e-15
 
+    @pytest.mark.parametrize("c", [0.6, 0.9, 1.2])
+    def test_well_accurate_near_reference(self, c):
+        # exact rational W at the same double inputs; the expanded sum would
+        # lose all relative accuracy here, where W is about (2 - c) t^2
+        cf = Fraction(c)
+        for t in (1e-2, -1e-3, 1e-5, -1e-6, 3e-8, -1e-8):
+            u = 1.0 + t
+            x = Fraction(u)
+            exact = x**4 / 2 - cf * x**3 / 3 - x**2 + cf * x + Fraction(1, 2) - 2 * cf / 3
+            for got in (_quartic_well(u, c), float(_quartic_well(np.array([u]), c)[0])):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-14) * abs(exact), (t, got)
+
     @pytest.mark.parametrize("shape", [(), (7,), (5, 3)])
     def test_polynomial_matches_decoupled_builtin(self, decoupled_spec, shape):
         poly = user_polynomial(2, quartic_well_terms((0.6, 1.2)), [1.0, 1.0],
@@ -235,6 +248,11 @@ INVALID_SPECS = {
         "Hessian at the reference well is not positive definite (min eig -2)"),
     "no_negative_region": (
         lambda: user_polynomial(1, [(1.0, [2])], [0.0], [[-2.0, 2.0]]),
+        "no negative region found inside the bounding box"),
+    # dips to -1e-13 only: below 0, but within NEG_TOL of it
+    "negative_region_within_roundoff": (
+        lambda: user_polynomial(1, [(1.0, [4]), (2.0, [3]), (1.0 - 1e-13, [2])], [0.0],
+                                [[-2.0, 2.0]]),
         "no negative region found inside the bounding box"),
     "negative_on_boundary": (
         lambda: user_polynomial(1, quartic_well_terms((0.6,)), [1.0], [[-1.2, 2.0]]),

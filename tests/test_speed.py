@@ -24,6 +24,7 @@ from gradwave.speed import (
     speed_subgrid,
     transfer_profile,
 )
+from gradwave.verify import run_verify
 from conftest import make_grid
 
 
@@ -236,7 +237,20 @@ def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeyp
     grid = make_grid(decoupled_consts, 1.0, h=0.05)
     res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5,
                    MinimizeOptions(opt_tol=1e-5, restarts=0), wells)
-    race = [iters for cap, iters in runs if cap == 400]
+    race = [iters for cap, iters in runs if cap == minimize._RACE_BUDGET]
     assert len(race) == 3
     assert res.iterations >= sum(race)
     assert res.iterations == sum(iters for _, iters in runs)
+
+
+def test_short_race_picks_the_wave(decoupled_spec, decoupled_consts):
+    # at the benchmark grid and c*, a race run to convergence lets the
+    # (-1, -1) seed win by ~1e-10 relative with an extra front near x = -29,
+    # where the weight is ~1e-15, and that profile fails verification
+    bounds = compute_bounds(decoupled_spec, decoupled_consts, 1.0)
+    grid = make_grid(decoupled_consts, bounds.bracket_lo, h=0.02)
+    c = 1.2003735488958043
+    res = gamma_at(decoupled_spec, decoupled_consts, grid, c, MinimizeOptions(restarts=0),
+                   seed_points(decoupled_spec, decoupled_consts))
+    np.testing.assert_allclose(res.profile.values[0], [1.0, -1.0], rtol=0, atol=1e-3)
+    assert run_verify(decoupled_spec, decoupled_consts, c, res.profile, res.gamma).passed
