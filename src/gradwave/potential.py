@@ -421,9 +421,13 @@ def _scan_resolution(dim: int) -> int:
     return max(21, int(round(2e6 ** (1.0 / dim))))
 
 
+def _scan_axes(spec: PotentialSpec, per_axis: int) -> list:
+    return [np.linspace(lo, hi, per_axis) for lo, hi in spec.bounding_box]
+
+
 def _scan_points(spec: PotentialSpec, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in spec.bounding_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """Every point of the grid over the box's axes, the last axis fastest."""
+    mesh = np.meshgrid(*_scan_axes(spec, per_axis), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -495,8 +499,15 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     M = max(0.0, -float(res.fun), float(seg_vals[i]))
 
     # distance from b to the negative region: nearest negative scan points,
-    # refined by bisecting each segment from b for its first sign change
-    dist = np.linalg.norm(pts[neg] - b, axis=1)
+    # refined by bisecting each segment from b for its first sign change.
+    # The squared distance of every scan point is an outer sum of per-axis
+    # squared offsets, added in axis order as a row norm adds them, so only
+    # one value per negative point is gathered, not its coordinate row.
+    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    d2 = (axes[0] - b[0]) ** 2
+    for k in range(1, spec.dim):
+        d2 = np.add.outer(d2, (axes[k] - b[k]) ** 2)
+    dist = np.sqrt(d2.ravel()[neg])
     near_order = _smallest(dist, 16)
     d = float(dist[near_order[0]])
     for idx in np.flatnonzero(neg)[near_order]:

@@ -270,19 +270,28 @@ def translate_to_crossing(spec: PotentialSpec, profile: Profile) -> Profile:
 # profile CSV: header x,u1,...,un,W,du_norm; exact decimal round trip
 # ---------------------------------------------------------------------------
 
+# rows formatted per write: joining the whole file at once raises peak memory
+_CSV_CHUNK = 512
+
+
 def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
+    """Write the profile with CRLF line ends and each value as its Python repr.
+
+    Rows are formatted from float lists a chunk at a time: one ``repr`` per
+    value on numpy scalars costs more than the whole table's arithmetic.  The
+    bytes are those a ``csv.writer`` writes from the same strings.
+    """
     w = spec.value(profile.values)
     du = derivative(profile).values
     du_norm = np.sqrt(np.sum(du * du, axis=1))
+    table = np.column_stack([profile.grid.nodes, profile.values, w, du_norm])
     header = ["x"] + [f"u{k + 1}" for k in range(profile.dim)] + ["W", "du_norm"]
+    row = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for i, xi in enumerate(profile.grid.nodes):
-            row = [repr(float(xi))]
-            row += [repr(float(v)) for v in profile.values[i]]
-            row += [repr(float(w[i])), repr(float(du_norm[i]))]
-            wr.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), _CSV_CHUNK):
+            rows = table[start:start + _CSV_CHUNK].tolist()
+            fh.write("".join([row % tuple(r) for r in rows]))
 
 
 def read_csv(path, spec: PotentialSpec) -> Profile:

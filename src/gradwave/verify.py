@@ -10,6 +10,7 @@ manifold at the right well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,32 +255,40 @@ def _rk4_backward(spec, c, x_start, y0, step, x_stop_target, box_lo, box_hi):
     """Classical four-stage Runge-Kutta for the wave ODE, integrating leftward.
 
     Returns (xs descending, states) up to the target or until the position
-    variable leaves the doubled bounding box.
+    variable leaves the doubled bounding box.  The state is a list of floats
+    and each stage makes one gradient call: numpy calls on 2n-element arrays
+    cost more than the arithmetic they do.  Every element is computed in the
+    order an array expression would compute it, so the trajectory is
+    bit-identical to one built from numpy stage arrays.
     """
     n = y0.size // 2
+    c = float(c)
+    lo, hi = np.asarray(box_lo, dtype=float).tolist(), np.asarray(box_hi, dtype=float).tolist()
 
     def f(y):
-        out = np.empty_like(y)
-        out[:n] = y[n:]
-        out[n:] = np.asarray(spec.gradient(y[:n]), dtype=float) - c * y[n:]
-        return out
+        g = np.asarray(spec.gradient(np.array(y[:n])), dtype=float).tolist()
+        return y[n:] + [gk - c * vk for gk, vk in zip(g, y[n:])]
 
-    xs = [x_start]
-    ys = [y0.copy()]
-    y = y0.copy()
-    xcur = x_start
     hstep = -abs(step)
+    half = 0.5 * hstep
+    sixth = hstep / 6.0
+    y = y0.tolist()
+    xs = [x_start]
+    ys = [y]
+    xcur = x_start
     n_steps = int(np.ceil((x_start - x_stop_target) / abs(step)))
     for _ in range(n_steps):
         k1 = f(y)
-        k2 = f(y + 0.5 * hstep * k1)
-        k3 = f(y + 0.5 * hstep * k2)
-        k4 = f(y + hstep * k3)
-        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = f([a + half * k for a, k in zip(y, k1)])
+        k3 = f([a + half * k for a, k in zip(y, k2)])
+        k4 = f([a + hstep * k for a, k in zip(y, k3)])
+        y = [a + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
+             for a, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
         xcur += hstep
         xs.append(xcur)
-        ys.append(y.copy())
-        if np.any(y[:n] < box_lo) or np.any(y[:n] > box_hi) or not np.all(np.isfinite(y)):
+        ys.append(y)
+        if (any(v < b for v, b in zip(y, lo)) or any(v > b for v, b in zip(y, hi))
+                or not all(map(math.isfinite, y))):
             break
     return np.array(xs), np.array(ys)
 

@@ -36,6 +36,23 @@ J_WAVE_C03 = -1.40983787552  # weighted energy of the exact wave at c=0.3
 PENALTY_CELL = 0.46707742704716  # 10 * 0.01 * (e^2 - e)
 
 
+def quartic_well_terms(speeds):
+    """Monomial table of the sum of one-component quartic wells, one per speed.
+
+    Component k contributes u_k^4/2 - c_k u_k^3/3 - u_k^2 + c_k u_k; the
+    constants of all components merge into one trailing term.
+    """
+    dim = len(speeds)
+    terms = []
+    for k, c in enumerate(speeds):
+        for coeff, e in ((0.5, 4), (-c / 3.0, 3), (-1.0, 2), (c, 1)):
+            exps = [0] * dim
+            exps[k] = e
+            terms.append((coeff, exps))
+    terms.append((sum(0.5 - 2.0 * c / 3.0 for c in speeds), [0] * dim))
+    return terms
+
+
 def make_grid(consts, c_min, h=0.01):
     xl, xr = auto_grid_bounds(consts, c_min)
     return Grid.uniform(xl, xr, h)

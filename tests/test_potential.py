@@ -22,25 +22,17 @@ from gradwave import (
     user_polynomial,
     validate_spec,
 )
-from gradwave.potential import NEG_TOL, _Monomials, _quartic_well, _smallest, well_minima
-from conftest import D_DECOUPLED, D_SCALAR, M_SEG_DECOUPLED, U_STAR
-
-
-def quartic_well_terms(speeds):
-    """Monomial table of the sum of one-component quartic wells, one per speed.
-
-    Component k contributes u_k^4/2 - c_k u_k^3/3 - u_k^2 + c_k u_k; the
-    constants of all components merge into one trailing term.
-    """
-    dim = len(speeds)
-    terms = []
-    for k, c in enumerate(speeds):
-        for coeff, e in ((0.5, 4), (-c / 3.0, 3), (-1.0, 2), (c, 1)):
-            exps = [0] * dim
-            exps[k] = e
-            terms.append((coeff, exps))
-    terms.append((sum(0.5 - 2.0 * c / 3.0 for c in speeds), [0] * dim))
-    return terms
+from gradwave.potential import (
+    NEG_TOL,
+    _first_negative_crossing,
+    _Monomials,
+    _quartic_well,
+    _scan_points,
+    _scan_resolution,
+    _smallest,
+    well_minima,
+)
+from conftest import D_DECOUPLED, D_SCALAR, M_SEG_DECOUPLED, U_STAR, quartic_well_terms
 
 
 def quartic_well_quad(u, c):
@@ -451,6 +443,34 @@ def test_batched_equilibria_match_serial(name):
     assert len(got_wells) == len(ref_wells) > 0
     for q, r in zip(got_wells, ref_wells):
         assert np.array_equal(q, r)
+
+
+def serial_nearest_distance(spec):
+    """Reference for compute_constants' d: row norms over the gathered negative points."""
+    pts = _scan_points(spec, _scan_resolution(spec.dim))
+    neg = spec.value(pts) < -NEG_TOL
+    b = spec.well_b
+    dist = np.linalg.norm(pts[neg] - b, axis=1)
+    near_order = _smallest(dist, 16)
+    d = float(dist[near_order[0]])
+    for idx in np.flatnonzero(neg)[near_order]:
+        p = pts[idx]
+        t_cross = _first_negative_crossing(spec, b, p)
+        if t_cross is not None:
+            d = min(d, t_cross * float(np.linalg.norm(p - b)))
+    return d
+
+
+NEAREST_SPECS = {
+    name: REFERENCE_SPECS[name] for name in ("scalar", "decoupled", "poly3", "poly3_reordered")
+}
+NEAREST_SPECS["scalar_alpha_0.4"] = lambda: scalar_cubic(0.4)
+
+
+@pytest.mark.parametrize("name", list(NEAREST_SPECS))
+def test_nearest_distance_matches_row_norms(name):
+    spec = NEAREST_SPECS[name]()
+    assert np.array_equal(compute_constants(spec).d, serial_nearest_distance(spec))
 
 
 def test_smallest_orders_ties_by_index():

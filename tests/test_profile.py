@@ -1,5 +1,7 @@
 """Grids, discrete calculus, seed profiles, recentering, and CSV round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,22 @@ def test_shift_round_trip(s):
     assert np.max(np.abs(back.values[interior] - p.values[interior])) <= 5e-5
 
 
+def _write_csv_reference(path, profile, spec):
+    """The CSV writer as first written: csv.writer, one row at a time."""
+    w = spec.value(profile.values)
+    du = derivative(profile).values
+    du_norm = np.sqrt(np.sum(du * du, axis=1))
+    header = ["x"] + [f"u{k + 1}" for k in range(profile.dim)] + ["W", "du_norm"]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for i, xi in enumerate(profile.grid.nodes):
+            row = [repr(float(xi))]
+            row += [repr(float(v)) for v in profile.values[i]]
+            row += [repr(float(w[i])), repr(float(du_norm[i]))]
+            wr.writerow(row)
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path, scalar_spec, scalar_consts):
         g = Grid.uniform(-6.0, 4.0, 0.05)
@@ -172,6 +190,23 @@ class TestCsv:
         q = read_csv(path, scalar_spec)
         assert np.array_equal(q.values, p.values)
         assert np.array_equal(q.grid.nodes, g.nodes)
+
+    def test_bytes_match_csv_writer(self, tmp_path, decoupled_spec):
+        # more than one 512-row chunk, exponent reprs and a negative zero
+        g = Grid.uniform(-6.0, 6.0, 0.01)
+        vals = np.column_stack([np.tanh(g.nodes), np.cos(g.nodes)])
+        vals[5] = [1e-05, -0.0]
+        vals[511:514] = [[1e+16, -2.5e-300], [-0.0, 0.1], [3.0, -1e-05]]
+        vals[-1] = decoupled_spec.well_b
+        p = Profile(grid=g, values=vals, well_b=decoupled_spec.well_b)
+        assert g.n_nodes > 2 * 512
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_csv(got, p, decoupled_spec)
+        _write_csv_reference(ref, p, decoupled_spec)
+        data = got.read_bytes()
+        assert data == ref.read_bytes()
+        assert b"1e-05" in data and b"1e+16" in data and b"-0.0," in data
+        assert data.count(b"\r\n") == g.n_nodes + 1
 
     def test_header_mismatch_names_column(self, tmp_path, scalar_spec):
         path = tmp_path / "bad.csv"

@@ -10,9 +10,12 @@ from gradwave import (
     Profile,
     ShootingDivergenceError,
     TailError,
+    compute_constants,
     minimize_profile,
     segment_profile,
+    user_polynomial,
 )
+from gradwave import verify
 from gradwave.verify import (
     el_residual,
     first_integral_residual,
@@ -23,14 +26,58 @@ from gradwave.verify import (
     run_verify,
     shooting_check,
 )
-from conftest import X0_TANH
+from conftest import V_STAR_12, X0_TANH, quartic_well_terms
 
 
-def tanh_profile(h=0.01, x_left=-40.0 / 0.6, x_right=22.0):
+def tanh_profile(h=0.01, x_left=-40.0 / 0.6, x_right=22.0, x0=X0_TANH, component=0, dim=1):
+    """tanh(x + x0) in one component, the others at the reference well 1."""
     grid = Grid.uniform(x_left, x_right, h)
-    vals = np.tanh(grid.nodes + X0_TANH)[:, None]
+    vals = np.ones((grid.n_nodes, dim))
+    vals[:, component] = np.tanh(grid.nodes + x0)
     vals[-1] = 1.0
-    return Profile(grid=grid, values=vals, well_b=np.array([1.0]))
+    return Profile(grid=grid, values=vals, well_b=np.ones(dim))
+
+
+def _rk4_backward_reference(spec, c, x_start, y0, step, x_stop_target, box_lo, box_hi):
+    """The integrator as first written, on numpy stage arrays."""
+    n = y0.size // 2
+
+    def f(y):
+        out = np.empty_like(y)
+        out[:n] = y[n:]
+        out[n:] = np.asarray(spec.gradient(y[:n]), dtype=float) - c * y[n:]
+        return out
+
+    xs = [x_start]
+    ys = [y0.copy()]
+    y = y0.copy()
+    xcur = x_start
+    hstep = -abs(step)
+    n_steps = int(np.ceil((x_start - x_stop_target) / abs(step)))
+    for _ in range(n_steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * hstep * k1)
+        k3 = f(y + 0.5 * hstep * k2)
+        k4 = f(y + hstep * k3)
+        y = y + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        xcur += hstep
+        xs.append(xcur)
+        ys.append(y.copy())
+        if np.any(y[:n] < box_lo) or np.any(y[:n] > box_hi) or not np.all(np.isfinite(y)):
+            break
+    return np.array(xs), np.array(ys)
+
+
+@pytest.fixture(scope="module")
+def wrong_speed_profile(scalar_spec, scalar_consts):
+    """Minimizer at c = 0.8, where scalar_cubic(0.6) has no wave."""
+    grid = Grid.uniform(-50.0, 21.0, 0.01)
+    init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
+    res = minimize_profile(
+        scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
+        MinimizeOptions(opt_tol=1e-6, restarts=0),
+    )
+    return res.profile
 
 
 def constant_profile(value, grid, well_b):
@@ -174,20 +221,53 @@ class TestShooting:
         gap = shooting_check(decoupled_spec, decoupled_consts, res.c_star, res.profile)
         assert gap <= 2e-2
 
-    def test_forced_wrong_speed(self, scalar_spec, scalar_consts):
+    def test_forced_wrong_speed(self, scalar_spec, scalar_consts, wrong_speed_profile):
         # there is no wave at c = 0.8; a forced shoot must either diverge or
         # visibly disagree with the minimizer profile
-        grid = Grid.uniform(-50.0, 21.0, 0.01)
-        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
-        res = minimize_profile(
-            scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
-            MinimizeOptions(opt_tol=1e-6, restarts=0),
-        )
         try:
-            gap = shooting_check(scalar_spec, scalar_consts, 0.8, res.profile)
+            gap = shooting_check(scalar_spec, scalar_consts, 0.8, wrong_speed_profile)
         except ShootingDivergenceError:
             return
         assert gap >= 0.1
+
+    def test_rk4_matches_reference_loop(self, monkeypatch, scalar_spec, scalar_consts,
+                                        scalar_speed, decoupled_spec, decoupled_consts,
+                                        decoupled_speed, wrong_speed_profile):
+        # the float-list integrator must reproduce the numpy stage-array loop
+        # bit for bit, on the arguments shooting_check really passes it
+        calls = []
+        integrate = verify._rk4_backward
+
+        def recording(*args):
+            out = integrate(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(verify, "_rk4_backward", recording)
+        poly_spec = user_polynomial(3, quartic_well_terms((0.6, 0.9, 1.2)), [1.0] * 3,
+                                    [[-2.0, 2.0]] * 3)
+        poly_wave = tanh_profile(h=0.02, x_left=-40.0 / 1.2, x_right=22.0,
+                                 x0=np.arctanh(V_STAR_12), component=2, dim=3)
+        cases = [
+            (scalar_spec, scalar_consts, scalar_speed[0].c_star, scalar_speed[0].profile),
+            (decoupled_spec, decoupled_consts, decoupled_speed[0].c_star,
+             decoupled_speed[0].profile),
+            (poly_spec, compute_constants(poly_spec), 1.2, poly_wave),
+            (scalar_spec, scalar_consts, 0.8, wrong_speed_profile),
+        ]
+        for spec, consts, c, profile in cases:
+            try:
+                shooting_check(spec, consts, c, profile)
+            except ShootingDivergenceError:
+                pass
+        assert len(calls) == len(cases)
+        # the forced wrong speed leaves the box before its target
+        (_, _, x_a, _, step, x_stop, _, _), (xs, _) = calls[-1]
+        assert xs.size - 1 < np.ceil((x_a - x_stop) / abs(step))
+        for args, (xs, ys) in calls:
+            ref_xs, ref_ys = _rk4_backward_reference(*args)
+            assert np.array_equal(xs, ref_xs)
+            assert np.array_equal(ys, ref_ys)
 
 
 class TestRunVerify:
