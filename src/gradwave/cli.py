@@ -197,6 +197,10 @@ def cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     for name, (val, thr, ok) in report_verify.checks.items():
         print(f"  {name:20s} {val:12.6g}  {'PASS' if ok else 'FAIL'}")
     print(f"report: {path}")
+    if not res.gamma_result.converged:
+        print(f"solver error: the minimizer at c* did not converge "
+              f"(grad_norm {res.gamma_result.grad_norm:.2e})", file=sys.stderr)
+        return 2
     return 0 if report_verify.passed else 3
 
 

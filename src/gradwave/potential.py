@@ -51,6 +51,13 @@ class PotentialSpec:
     and return shapes (...,), (..., dim) and (..., dim, dim).
     ``bounding_box`` has shape (dim, 2) and must contain the negative region
     {W < 0}; the built-in families use [-2, 2]^dim.
+
+    ``point_gradient`` maps a list of ``dim`` floats to a list of ``dim``
+    floats, equal bit for bit to ``gradient(np.array(p)).tolist()``; callers
+    that step one point at a time use it to skip numpy's per-call overhead.
+    Left unset, it is derived from ``gradient``.  ``dataclasses.replace``
+    with a new ``gradient`` keeps the old point kernel; the assumption
+    checks reject the mismatch.
     """
 
     dim: int
@@ -61,6 +68,14 @@ class PotentialSpec:
     bounding_box: np.ndarray
     variant: str = "custom"
     params: tuple = ()
+    point_gradient: Callable[[list], list] | None = None
+
+    def __post_init__(self):
+        if self.point_gradient is None:
+            gradient = self.gradient
+            object.__setattr__(
+                self, "point_gradient",
+                lambda p: np.asarray(gradient(np.array(p)), dtype=float).tolist())
 
     def describe(self) -> dict:
         return {
@@ -156,6 +171,7 @@ def scalar_cubic(alpha: float) -> PotentialSpec:
         bounding_box=np.array([[-2.0, 2.0]]),
         variant="scalar_cubic",
         params=(alpha,),
+        point_gradient=lambda p: [_quartic_well_d1(p[0], alpha)],
     )
 
 
@@ -197,6 +213,7 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
         bounding_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         variant="decoupled_quartic",
         params=(alpha, beta),
+        point_gradient=lambda p: [_quartic_well_d1(p[0], alpha), _quartic_well_d1(p[1], beta)],
     )
 
 
@@ -206,11 +223,11 @@ class _Monomials:
     Built from (coefficient, exponents, slot) triples.  Evaluation maps
     (..., dim) to (..., n_slots) with multiplies only: powers come from
     repeated multiplication, never from ``pow``.  A single point is evaluated
-    in plain floats, which beats numpy's per-call overhead on a handful of
-    terms; a batch is processed in row chunks, so its temporaries stay at
-    O(chunk * dim * max exponent) however many rows it has.  Both routes form
-    each monomial, scale it and sum the terms in the same order, so they
-    agree bit for bit.
+    in plain floats by ``_point``, list in and list out, which beats numpy's
+    per-call overhead on a handful of terms; a batch is processed in row
+    chunks, so its temporaries stay at O(chunk * dim * max exponent) however
+    many rows it has.  Both routes form each monomial, scale it and sum the
+    terms in the same order, so they agree bit for bit.
     """
 
     CHUNK = 8192
@@ -228,7 +245,7 @@ class _Monomials:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
-            return self._point(u.tolist())
+            return np.array(self._point(u.tolist()))
         rows = u.reshape(-1, self.dim)
         return self._rows(rows).reshape(u.shape[:-1] + (self.n_slots,))
 
@@ -245,7 +262,7 @@ class _Monomials:
             for k, e in factors:
                 m *= powers[k][e]
             out[slot] += m * c
-        return np.array(out)
+        return out
 
     def _rows(self, u):
         n = u.shape[0]
@@ -339,6 +356,7 @@ def user_polynomial(
         bounding_box=box,
         variant="user_polynomial",
         params=tuple(float(c) for c in coeffs),
+        point_gradient=grads._point,
     )
 
 
@@ -361,8 +379,9 @@ def validate_spec(spec: PotentialSpec) -> None:
 
     Raises AssumptionViolationError if the reference well is not a proper
     nondegenerate zero-minimum, if no negative region exists inside the box,
-    if the potential dips negative on the box boundary, or if the gradient
-    callback disagrees with finite differences of the value callback.
+    if the potential dips negative on the box boundary, if the gradient
+    callback disagrees with finite differences of the value callback, or if
+    the point gradient and the gradient callback differ at the same points.
     ``compute_constants`` runs the same checks on its own scan.
     """
     _check_assumptions(spec)
@@ -410,6 +429,8 @@ def _check_assumptions(spec: PotentialSpec):
             raise AssumptionViolationError(
                 "gradient callback disagrees with finite differences of the value"
             )
+        if spec.point_gradient(p.tolist()) != g.tolist():
+            raise AssumptionViolationError("point gradient disagrees with the gradient callback")
     return eigs, pts, w
 
 

@@ -256,17 +256,19 @@ def _rk4_backward(spec, c, x_start, y0, step, x_stop_target, box_lo, box_hi):
 
     Returns (xs descending, states) up to the target or until the position
     variable leaves the doubled bounding box.  The state is a list of floats
-    and each stage makes one gradient call: numpy calls on 2n-element arrays
-    cost more than the arithmetic they do.  Every element is computed in the
-    order an array expression would compute it, so the trajectory is
-    bit-identical to one built from numpy stage arrays.
+    and each stage makes one ``spec.point_gradient`` call on floats, no numpy
+    call: numpy calls on 2n-element arrays cost more than the arithmetic they
+    do.  The point gradient equals the batch gradient bit for bit, and every
+    element is computed in the order an array expression would compute it,
+    so the trajectory is bit-identical to one built from numpy stage arrays.
     """
     n = y0.size // 2
     c = float(c)
     lo, hi = np.asarray(box_lo, dtype=float).tolist(), np.asarray(box_hi, dtype=float).tolist()
+    point_gradient = spec.point_gradient
 
     def f(y):
-        g = np.asarray(spec.gradient(np.array(y[:n])), dtype=float).tolist()
+        g = point_gradient(y[:n])
         return y[n:] + [gk - c * vk for gk, vk in zip(g, y[n:])]
 
     hstep = -abs(step)

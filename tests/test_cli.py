@@ -1,6 +1,7 @@
 """Command-line front end: config validation, runs, reports, round trips."""
 
 import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -270,6 +271,25 @@ directory = {out2}
         for r in (ra, rb):
             r.pop("timings")
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+    def test_unconverged_minimizer_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the wave is still written and reported, but a minimizer that did
+        # not converge is a solver failure, not a certified wave
+        find_speed = gradwave.cli.find_speed
+
+        def unconverged(*args, **kwargs):
+            res = find_speed(*args, **kwargs)
+            return dataclasses.replace(
+                res, gamma_result=dataclasses.replace(res.gamma_result, converged=False))
+
+        monkeypatch.setattr(gradwave.cli, "find_speed", unconverged)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=out))
+        assert main(["speed", "--config", cfg]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["result"]["gamma_result"]["converged"] is False
+        assert (out / "wave.csv").exists() and (out / "bracket_history.csv").exists()
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -1,11 +1,13 @@
 """Potential evaluation, analytic constants, and zero-set projection."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -13,6 +15,7 @@ from gradwave import (
     AssumptionViolationError,
     ContractViolationError,
     DegenerateProjectionError,
+    PotentialSpec,
     compute_constants,
     decoupled_quartic,
     evaluate,
@@ -32,6 +35,7 @@ from gradwave.potential import (
     _smallest,
     well_minima,
 )
+from gradwave.verify import shooting_check
 from conftest import D_DECOUPLED, D_SCALAR, M_SEG_DECOUPLED, U_STAR, quartic_well_terms
 
 
@@ -225,6 +229,12 @@ def _doubled_gradient():
     return dataclasses.replace(spec, gradient=lambda u: 2.0 * spec.gradient(u))
 
 
+def _point_gradient_off_by_ulp():
+    spec = scalar_cubic(0.6)
+    return dataclasses.replace(spec, point_gradient=lambda p: [
+        math.nextafter(g, math.inf) for g in spec.point_gradient(p)])
+
+
 # one potential per assumption check, each breaking only that check, with its message
 INVALID_SPECS = {
     "value_at_b": (
@@ -252,6 +262,9 @@ INVALID_SPECS = {
     "gradient_disagrees_with_fd": (
         _doubled_gradient,
         "gradient callback disagrees with finite differences of the value"),
+    "point_gradient_disagrees": (
+        _point_gradient_off_by_ulp,
+        "point gradient disagrees with the gradient callback"),
 }
 
 
@@ -282,6 +295,54 @@ class TestValidate:
             )
         np.testing.assert_allclose(poly.hessian(np.array([1.0])),
                                    scalar_spec.hessian(np.array([1.0])), atol=1e-10)
+
+
+POINT_GRADIENT_SPECS = {
+    "scalar_0.6": lambda: scalar_cubic(0.6),
+    "scalar_0.4": lambda: scalar_cubic(0.4),
+    "decoupled": lambda: decoupled_quartic(0.6, 1.2),
+    "poly3": lambda: user_polynomial(3, quartic_well_terms((0.6, 0.9, 1.2)), [1.0] * 3,
+                                     [[-2.0, 2.0]] * 3),
+    "coupled": coupled_spec,
+}
+
+
+def _at_corners_and_signed_zeros(test):
+    # corners of the box [-2, 2]^3 and of the doubled box [-4, 4]^3, then
+    # signed zeros; lower-dimensional potentials take the leading coordinates
+    points = [*itertools.product((-4.0, 4.0), repeat=3),
+              *itertools.product((-2.0, 2.0), repeat=3),
+              (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0)]
+    for point in points:
+        test = example(coords=list(point))(test)
+    return test
+
+
+@pytest.mark.parametrize("name", list(POINT_GRADIENT_SPECS))
+@settings(max_examples=40, deadline=None)
+@_at_corners_and_signed_zeros
+@given(coords=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+def test_point_gradient_matches_batch(name, coords):
+    # the float kernel the shooting steps with must equal the numpy
+    # gradient bit for bit, anywhere the shooting can reach
+    spec = POINT_GRADIENT_SPECS[name]()
+    p = coords[:spec.dim]
+    got = spec.point_gradient(p)
+    want = spec.gradient(np.array(p)).tolist()
+    assert got == want
+    assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, g) for g in want]
+
+
+def test_derived_point_gradient_shoots_like_builtin(scalar_spec, scalar_consts, analytic_wave):
+    # a spec built directly, without a point kernel, derives one from its
+    # gradient callback and shoots the same trajectory as the built-in
+    custom = PotentialSpec(dim=1, well_b=scalar_spec.well_b, value=scalar_spec.value,
+                           gradient=scalar_spec.gradient, hessian=scalar_spec.hessian,
+                           bounding_box=scalar_spec.bounding_box)
+    assert custom.point_gradient is not scalar_spec.point_gradient
+    assert custom.point_gradient([0.3]) == scalar_spec.point_gradient([0.3])
+    gap = shooting_check(custom, scalar_consts, 0.6, analytic_wave)
+    assert gap == shooting_check(scalar_spec, scalar_consts, 0.6, analytic_wave)
 
 
 @settings(max_examples=30, deadline=None)
