@@ -14,12 +14,11 @@ single point (dim,) gives one (dim, dim) matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
-from scipy.optimize import minimize_scalar as _scipy_minimize_scalar
 
 from .errors import (
     AssumptionViolationError,
@@ -58,6 +57,16 @@ class PotentialSpec:
     Left unset, it is derived from ``gradient``.  ``dataclasses.replace``
     with a new ``gradient`` keeps the old point kernel; the assumption
     checks reject the mismatch.
+
+    ``grid_value`` maps a sequence of 1-D coordinate arrays, one per
+    component, to W on their tensor grid, of shape
+    ``tuple(len(a) for a in axes)``; the analysis scans the box with it.  It
+    must agree with ``value`` to roundoff, not bit for bit.  Left unset, it
+    is derived from ``value``: one call on every grid point, stacked into
+    rows.  ``user_polynomial`` supplies a contraction of its term table (see
+    ``_Monomials.grid``); a ``dataclasses.replace`` with a new ``value``
+    keeps the old grid kernel, and the assumption checks reject the
+    mismatch.
     """
 
     dim: int
@@ -69,6 +78,7 @@ class PotentialSpec:
     variant: str = "custom"
     params: tuple = ()
     point_gradient: Callable[[list], list] | None = None
+    grid_value: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.point_gradient is None:
@@ -76,6 +86,12 @@ class PotentialSpec:
             object.__setattr__(
                 self, "point_gradient",
                 lambda p: np.asarray(gradient(np.array(p)), dtype=float).tolist())
+        if self.grid_value is None:
+            value = self.value
+            object.__setattr__(
+                self, "grid_value",
+                lambda axes: np.asarray(value(_mesh_rows(axes)), dtype=float).reshape(
+                    [len(a) for a in axes]))
 
     def describe(self) -> dict:
         return {
@@ -294,6 +310,31 @@ class _Monomials:
                 acc[slot] += tmp
         return out.T if self.n_slots == 1 else np.ascontiguousarray(out.T)
 
+    def grid(self, axes) -> np.ndarray:
+        """The first slot on the tensor grid over ``axes``, of shape ``(len(a) for a in axes)``.
+
+        The terms are summed into a coefficient tensor over exponents, which
+        is contracted with one power table ``np.vander(axis, top + 1)`` per
+        axis, last axis first: the last product is a single
+        ``(n0, top0 + 1) @ (top0 + 1, n1 * n2 ...)`` matmul whose result is
+        already the grid in C order.  The sums run in another order than
+        ``_rows`` and ``_point``, so the values agree with them to roundoff,
+        not bit for bit.
+        """
+        g = np.zeros([top + 1 for top in self.top])
+        for c, slot, factors in self.terms:
+            if slot == 0:
+                exps = [0] * self.dim
+                for k, e in factors:
+                    exps[k] = e
+                g[tuple(exps)] += c
+        for k in reversed(range(self.dim)):
+            powers = np.vander(np.asarray(axes[k], dtype=float), self.top[k] + 1, increasing=True)
+            lead, trail = g.shape[:k], g.shape[k + 1:]
+            g = np.matmul(powers, g.reshape(math.prod(lead), self.top[k] + 1, -1))
+            g = g.reshape(lead + (len(powers),) + trail)
+        return g
+
 
 def user_polynomial(
     dim: int,
@@ -357,6 +398,7 @@ def user_polynomial(
         variant="user_polynomial",
         params=tuple(float(c) for c in coeffs),
         point_gradient=grads._point,
+        grid_value=values.grid,
     )
 
 
@@ -378,10 +420,11 @@ def validate_spec(spec: PotentialSpec) -> None:
     """Check the structural assumptions on a potential.
 
     Raises AssumptionViolationError if the reference well is not a proper
-    nondegenerate zero-minimum, if no negative region exists inside the box,
-    if the potential dips negative on the box boundary, if the gradient
-    callback disagrees with finite differences of the value callback, or if
-    the point gradient and the gradient callback differ at the same points.
+    nondegenerate zero-minimum, if the grid kernel disagrees with the value
+    callback, if no negative region exists inside the box, if the potential
+    dips negative on the box boundary, if the gradient callback disagrees
+    with finite differences of the value callback, or if the point gradient
+    and the gradient callback differ at the same points.
     ``compute_constants`` runs the same checks on its own scan.
     """
     _check_assumptions(spec)
@@ -390,8 +433,8 @@ def validate_spec(spec: PotentialSpec) -> None:
 def _check_assumptions(spec: PotentialSpec):
     """The checks of ``validate_spec``, returning what they computed.
 
-    Returns the Hessian eigenvalues at b, the scan points of the box and W on
-    them, so that ``compute_constants`` builds and evaluates the scan once.
+    Returns the Hessian eigenvalues at b, the scan axes of the box and W on
+    their tensor grid, so that ``compute_constants`` evaluates the scan once.
     """
     b = spec.well_b
     if abs(float(spec.value(b))) > 1e-12:
@@ -404,8 +447,17 @@ def _check_assumptions(spec: PotentialSpec):
             f"Hessian at the reference well is not positive definite (min eig {eigs[0]:g})"
         )
 
-    pts = _scan_points(spec, per_axis=_scan_resolution(spec.dim))
-    w = spec.value(pts)
+    rng = np.random.default_rng(0)
+    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
+    samples = lo + (hi - lo) * rng.random((FD_POINTS, spec.dim))
+    for p in samples:
+        v = float(spec.value(p))
+        g = np.asarray(spec.grid_value(list(p[:, None])), dtype=float)
+        if g.shape != (1,) * spec.dim or not abs(g.item() - v) <= 1e-12 * (1.0 + abs(v)):
+            raise AssumptionViolationError("grid value disagrees with the value callback")
+
+    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    w = np.asarray(spec.grid_value(axes), dtype=float)
     if not np.any(w < -NEG_TOL):
         raise AssumptionViolationError("no negative region found inside the bounding box")
 
@@ -413,11 +465,8 @@ def _check_assumptions(spec: PotentialSpec):
     if np.any(spec.value(bpts) < 0):
         raise AssumptionViolationError("potential is negative on the bounding-box boundary")
 
-    rng = np.random.default_rng(0)
-    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
     h = 1e-4
-    for _ in range(FD_POINTS):
-        p = lo + (hi - lo) * rng.random(spec.dim)
+    for p in samples:
         g = np.asarray(spec.gradient(p), dtype=float)
         fd = np.empty(spec.dim)
         for k in range(spec.dim):
@@ -431,7 +480,7 @@ def _check_assumptions(spec: PotentialSpec):
             )
         if spec.point_gradient(p.tolist()) != g.tolist():
             raise AssumptionViolationError("point gradient disagrees with the gradient callback")
-    return eigs, pts, w
+    return eigs, axes, w
 
 
 def _scan_resolution(dim: int) -> int:
@@ -446,101 +495,109 @@ def _scan_axes(spec: PotentialSpec, per_axis: int) -> list:
     return [np.linspace(lo, hi, per_axis) for lo, hi in spec.bounding_box]
 
 
-def _scan_points(spec: PotentialSpec, per_axis: int) -> np.ndarray:
-    """Every point of the grid over the box's axes, the last axis fastest."""
-    mesh = np.meshgrid(*_scan_axes(spec, per_axis), indexing="ij")
+def _mesh_rows(axes) -> np.ndarray:
+    """Every point of the tensor grid over ``axes``, one per row, the last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _boundary_points(spec: PotentialSpec, per_axis: int) -> np.ndarray:
     pts = []
     for k in range(spec.dim):
-        axes = [
-            np.linspace(lo, hi, per_axis) if j != k else None
-            for j, (lo, hi) in enumerate(spec.bounding_box)
-        ]
         for side in (0, 1):
-            face_axes = [a if a is not None else np.array([spec.bounding_box[k, side]]) for a in axes]
-            mesh = np.meshgrid(*face_axes, indexing="ij")
-            pts.append(np.stack([m.ravel() for m in mesh], axis=-1))
+            face_axes = [
+                np.linspace(lo, hi, per_axis) if j != k else np.array([spec.bounding_box[k, side]])
+                for j, (lo, hi) in enumerate(spec.bounding_box)
+            ]
+            pts.append(_mesh_rows(face_axes))
     return np.concatenate(pts, axis=0)
+
+
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float, xatol: float):
+    """Minimize f on [lo, hi] by golden-section search (Kiefer, Proc. AMS 4, 1953).
+
+    Each step evaluates f once, keeps the part of the bracket around the
+    lower of its two interior points and reuses the other one, shrinking the
+    bracket by 1/phi; the steps stop once it is narrower than ``xatol``.
+    Returns ``(x, f(x))`` at the lowest point evaluated.
+    """
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max(0, math.ceil(math.log(xatol / (hi - lo)) / math.log(r)))):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     """Validate the potential and analyse it once.
 
-    Runs the checks of ``validate_spec``, then locates the analytic
-    constants on the same grid scan plus local refinement, and finds the
-    negative-potential equilibria.
+    Runs the checks of ``validate_spec``, finds the negative-potential
+    equilibria, takes the deepest well from them, and locates the other
+    analytic constants on the same grid scan plus local refinement.  Raises
+    AssumptionViolationError if no negative equilibrium is found, or if the
+    scan goes lower than the deepest one.
     """
-    eigs, pts, w = _check_assumptions(spec)
-    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
+    eigs, axes, w = _check_assumptions(spec)
     b = spec.well_b
 
-    neg = w < -NEG_TOL
-
-    # deepest well: refine from the best few scan cells
-    order = _smallest(w, 32)
-    best_val = np.inf
-    best_pt = pts[order[0]]
-    tried: list[np.ndarray] = []
-    for idx in order:
-        p0 = pts[idx]
-        if any(np.linalg.norm(p0 - t) < 0.05 * np.max(hi - lo) for t in tried):
-            continue
-        tried.append(p0)
-        res = _scipy_minimize(
-            lambda u: float(spec.value(u)),
-            p0,
-            jac=lambda u: np.asarray(spec.gradient(u), dtype=float),
-            bounds=list(zip(lo, hi)),
-            method="L-BFGS-B",
-        )
-        if res.fun < best_val:
-            best_val, best_pt = float(res.fun), np.asarray(res.x)
-        if len(tried) >= 5:
-            break
-    m = -best_val
-    point_a = best_pt
-    if m <= 0:
-        raise AssumptionViolationError("the deepest well is not below zero")
+    # deepest well: the lowest equilibrium.  W is negative somewhere inside
+    # the box and nonnegative on its boundary, so its minimum is an interior
+    # critical point; a scan value below it means the search missed a well
+    equilibria = find_equilibria(spec)
+    if not equilibria:
+        raise AssumptionViolationError(
+            "no negative-potential equilibrium found inside the bounding box")
+    eq_vals = np.asarray(spec.value(np.array(equilibria)), dtype=float)
+    lowest = int(np.argmin(eq_vals))
+    m, point_a = -float(eq_vals[lowest]), equilibria[lowest]
+    w_min = float(w.min())
+    if w_min < -m - NEG_TOL:
+        raise AssumptionViolationError(
+            f"the scan reaches W = {w_min:.6g}, below the deepest equilibrium found "
+            f"(W = {-m:.6g})")
 
     # largest value of W on the segment from a to b
-    seg = lambda t: point_a + np.multiply.outer(np.asarray(t), b - point_a)
+    step = b - point_a
     ts = np.linspace(0.0, 1.0, _scan_resolution(spec.dim))
-    seg_vals = spec.value(seg(ts))
+    seg_vals = spec.value(point_a + np.multiply.outer(ts, step))
     i = int(np.argmax(seg_vals))
     t_lo, t_hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    res = _scipy_minimize_scalar(
-        lambda t: -float(spec.value(seg(float(t)))),
-        bounds=(t_lo, t_hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    M = max(0.0, -float(res.fun), float(seg_vals[i]))
+    _, neg_top = golden_section_min(
+        lambda t: -float(spec.value(point_a + t * step)), float(t_lo), float(t_hi), 1e-13)
+    M = max(0.0, -neg_top, float(seg_vals[i]))
 
     # distance from b to the negative region: nearest negative scan points,
     # refined by bisecting each segment from b for its first sign change.
     # The squared distance of every scan point is an outer sum of per-axis
     # squared offsets, added in axis order as a row norm adds them, so only
-    # one value per negative point is gathered, not its coordinate row.
-    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    # one value per negative point is gathered, and only the nearest points'
+    # coordinates are rebuilt.
     d2 = (axes[0] - b[0]) ** 2
     for k in range(1, spec.dim):
         d2 = np.add.outer(d2, (axes[k] - b[k]) ** 2)
+    neg = np.flatnonzero(w < -NEG_TOL)
     dist = np.sqrt(d2.ravel()[neg])
     near_order = _smallest(dist, 16)
     d = float(dist[near_order[0]])
-    for idx in np.flatnonzero(neg)[near_order]:
-        p = pts[idx]
-        t_cross = _first_negative_crossing(spec, b, p)
+    index = np.unravel_index(neg[near_order], w.shape)
+    near = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+    lengths = _row_norms(near - b)
+    for t_cross, length in zip(_first_negative_crossings(spec, b, near), lengths):
         if t_cross is not None:
-            d = min(d, t_cross * float(np.linalg.norm(p - b)))
+            d = min(d, t_cross * float(length))
     if d <= 0:
         raise AssumptionViolationError("negative region touches the reference well")
 
-    return PotentialConstants(m=float(m), point_a=point_a, M=float(M), d=float(d),
-                              mu=float(eigs[0]), equilibria=tuple(find_equilibria(spec)))
+    return PotentialConstants(m=m, point_a=point_a, M=float(M), d=float(d),
+                              mu=float(eigs[0]), equilibria=tuple(equilibria))
 
 
 def _smallest(x: np.ndarray, k: int) -> np.ndarray:
@@ -558,25 +615,32 @@ def _smallest(x: np.ndarray, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, x[idx]))][:k]
 
 
-def _first_negative_crossing(spec: PotentialSpec, b, p, samples: int = 2001):
-    """Smallest t in (0, 1] with W(b + t (p - b)) < 0, bisected to ~1e-14."""
+def _first_negative_crossings(spec: PotentialSpec, b, points, samples: int = 2001) -> list:
+    """For each row p of ``points``, the smallest t in (0, 1] with W(b + t (p - b)) < 0.
+
+    Each segment is sampled at ``samples`` values of t, all in one value
+    call; None where no sample is below -NEG_TOL, 0.0 where the first one
+    is.  The others are bisected together to ~1e-14, 80 halvings of one
+    value call each, so every t is the one a point-by-point bisection finds.
+    """
     ts = np.linspace(0.0, 1.0, samples)
-    line = b + np.multiply.outer(ts, p - b)
-    w = spec.value(line)
-    negs = np.nonzero(w < -NEG_TOL)[0]
-    if negs.size == 0:
-        return None
-    j = int(negs[0])
-    if j == 0:
-        return 0.0
-    t_lo, t_hi = ts[j - 1], ts[j]
-    for _ in range(80):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if float(spec.value(b + t_mid * (p - b))) < 0:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-    return 0.5 * (t_lo + t_hi)
+    steps = points - b
+    lines = b + ts[:, None] * steps[:, None, :]
+    below = np.asarray(spec.value(lines.reshape(-1, spec.dim)), dtype=float).reshape(
+        len(points), samples) < -NEG_TOL
+    first = np.argmax(below, axis=1)
+    out = [None if not below[i, j] else 0.0 for i, j in enumerate(first)]
+    open_ = np.flatnonzero(first > 0)
+    if open_.size:
+        t_lo, t_hi = ts[first[open_] - 1], ts[first[open_]]
+        for _ in range(80):
+            t_mid = 0.5 * (t_lo + t_hi)
+            neg = np.asarray(spec.value(b + t_mid[:, None] * steps[open_]), dtype=float) < 0
+            t_hi = np.where(neg, t_mid, t_hi)
+            t_lo = np.where(neg, t_lo, t_mid)
+        for i, t in zip(open_, 0.5 * (t_lo + t_hi)):
+            out[i] = float(t)
+    return out
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -623,9 +687,7 @@ def find_equilibria(spec: PotentialSpec) -> list[np.ndarray]:
     """
     lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
     per_axis = EQ_PER_AXIS if spec.dim <= 2 else max(5, int(round(3000 ** (1 / spec.dim))))
-    axes = [np.linspace(a, b, per_axis) for a, b in spec.bounding_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    q_all = np.stack([m.ravel() for m in mesh], axis=-1)
+    q_all = _mesh_rows([np.linspace(a, b, per_axis) for a, b in spec.bounding_box])
     step_cap = 0.25 * float(np.linalg.norm(hi - lo))
 
     converged = np.zeros(len(q_all), dtype=bool)

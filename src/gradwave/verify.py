@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar as _minimize_scalar
 
 from .errors import (
     ContractViolationError,
@@ -23,7 +22,7 @@ from .errors import (
     WaveSolverError,
 )
 from .functional import FunctionalParams, cell_weights, decay_rate
-from .potential import PROJ_TOL, PotentialConstants, PotentialSpec
+from .potential import PROJ_TOL, PotentialConstants, PotentialSpec, golden_section_min
 from .profile import Profile, derivative, second_derivative
 
 # Nothing here calls this: perfbench/layertrace.py wraps it by name until the
@@ -380,11 +379,8 @@ def shooting_check(
     wt = spec.value(ys_up[:, :n])
     negs = np.nonzero(wt < -1e-12)[0]
     s0 = float(xs_up[negs[-1]]) if negs.size else 0.0
-    res = _minimize_scalar(
-        gap_for, bounds=(s0 - 1.0, s0 + 1.0), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    best = min(float(res.fun), gap_for(s0), gap_for(0.0))
+    _, aligned = golden_section_min(gap_for, s0 - 1.0, s0 + 1.0, 1e-6)
+    best = min(aligned, gap_for(s0), gap_for(0.0))
     if not np.isfinite(best):
         raise ShootingDivergenceError("no overlap between trajectory and profile")
     return best

@@ -3,6 +3,10 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,14 @@ import pytest
 import gradwave.cli
 import gradwave.potential
 import gradwave.verify
-from gradwave import Grid, Profile, write_csv
+from gradwave import (
+    AssumptionViolationError,
+    Grid,
+    Profile,
+    compute_constants,
+    decoupled_quartic,
+    write_csv,
+)
 from gradwave.cli import main
 from conftest import X0_TANH
 
@@ -107,6 +118,32 @@ directory = {out}
         assert report["constants"]["mu"] == pytest.approx(1.6, abs=1e-9)
         lo, hi = report["result"]["bracket"]
         assert lo < 1.2 <= hi
+
+    def test_missed_deepest_well_exits_2(self, tmp_path, monkeypatch, capsys):
+        # m is read off the equilibria; if the search misses the deepest
+        # well, the scan still sees it and the analysis refuses the potential
+        find_equilibria = gradwave.potential.find_equilibria
+
+        def without_deepest(spec):
+            found = find_equilibria(spec)
+            vals = spec.value(np.array(found))
+            return [q for q, v in zip(found, vals) if v > vals.min()]
+
+        monkeypatch.setattr(gradwave.potential, "find_equilibria", without_deepest)
+        message = "below the deepest equilibrium found"
+        with pytest.raises(AssumptionViolationError, match=message):
+            compute_constants(decoupled_quartic(0.6, 1.2))
+        cfg = write_config(tmp_path, f"""
+[potential]
+variant = decoupled_quartic
+alpha = 0.6
+beta = 1.2
+
+[output]
+directory = {tmp_path / "out"}
+""")
+        assert main(["bounds", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPolynomialConfig:
@@ -375,13 +412,25 @@ class TestPotentialAnalysedOnce:
         find_equilibria = counted("find_equilibria", gradwave.potential.find_equilibria)
         for module in (gradwave.potential, gradwave.cli, gradwave.verify):
             monkeypatch.setattr(module, "find_equilibria", find_equilibria)
-        monkeypatch.setattr(gradwave.potential, "_scan_points",
-                            counted("_scan_points", gradwave.potential._scan_points))
+        # the scan is the one grid_value call over more than a single point;
+        # the assumption checks also probe the kernel at one-point grids
+        build_potential = gradwave.cli.build_potential
+
+        def build_counted(cfg):
+            spec = build_potential(cfg)
+
+            def grid_value(axes):
+                if any(len(a) > 1 for a in axes):
+                    calls["grid_value scan"] += 1
+                return spec.grid_value(axes)
+            return dataclasses.replace(spec, grid_value=grid_value)
+
+        monkeypatch.setattr(gradwave.cli, "build_potential", build_counted)
 
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=out))
         assert main(["speed", "--config", cfg]) == 0
-        assert calls == {"find_equilibria": 1, "_scan_points": 1}
+        assert calls == {"find_equilibria": 1, "grid_value scan": 1}
 
         calls.clear()
         c_star = json.loads((out / "report.json").read_text())["result"]["c_star"]
@@ -397,4 +446,14 @@ c = {c_star!r}
 directory = {tmp_path / "out2"}
 """, name="verify.ini")
         assert main(["verify", "--config", cfg2, "--profile", str(out / "wave.csv")]) == 0
-        assert calls == {"find_equilibria": 1, "_scan_points": 1}
+        assert calls == {"find_equilibria": 1, "grid_value scan": 1}
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs a fresh process about 0.4 s; nothing in
+    # the package needs it
+    src = str(Path(gradwave.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import gradwave.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

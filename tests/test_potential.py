@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 from gradwave import (
     AssumptionViolationError,
@@ -25,14 +27,15 @@ from gradwave import (
     user_polynomial,
     validate_spec,
 )
+import gradwave.potential
 from gradwave.potential import (
     NEG_TOL,
-    _first_negative_crossing,
     _Monomials,
     _quartic_well,
-    _scan_points,
+    _scan_axes,
     _scan_resolution,
     _smallest,
+    golden_section_min,
     well_minima,
 )
 from gradwave.verify import shooting_check
@@ -235,6 +238,11 @@ def _point_gradient_off_by_ulp():
         math.nextafter(g, math.inf) for g in spec.point_gradient(p)])
 
 
+def _grid_value_off():
+    spec = scalar_cubic(0.6)
+    return dataclasses.replace(spec, grid_value=lambda axes: spec.grid_value(axes) + 1e-6)
+
+
 # one potential per assumption check, each breaking only that check, with its message
 INVALID_SPECS = {
     "value_at_b": (
@@ -248,6 +256,9 @@ INVALID_SPECS = {
     "indefinite_hessian_at_b": (
         lambda: user_polynomial(1, [(-1.0, [2])], [0.0], [[-2.0, 2.0]]),
         "Hessian at the reference well is not positive definite (min eig -2)"),
+    "grid_value_disagrees": (
+        _grid_value_off,
+        "grid value disagrees with the value callback"),
     "no_negative_region": (
         lambda: user_polynomial(1, [(1.0, [2])], [0.0], [[-2.0, 2.0]]),
         "no negative region found inside the bounding box"),
@@ -506,6 +517,33 @@ def test_batched_equilibria_match_serial(name):
         assert np.array_equal(q, r)
 
 
+def _scan_points(spec, per_axis):
+    """Every point of the grid over the box's axes, the last axis fastest."""
+    mesh = np.meshgrid(*_scan_axes(spec, per_axis), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _first_negative_crossing(spec, b, p, samples: int = 2001):
+    """Smallest t in (0, 1] with W(b + t (p - b)) < 0, bisected to ~1e-14."""
+    ts = np.linspace(0.0, 1.0, samples)
+    line = b + np.multiply.outer(ts, p - b)
+    w = spec.value(line)
+    negs = np.nonzero(w < -NEG_TOL)[0]
+    if negs.size == 0:
+        return None
+    j = int(negs[0])
+    if j == 0:
+        return 0.0
+    t_lo, t_hi = ts[j - 1], ts[j]
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if float(spec.value(b + t_mid * (p - b))) < 0:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    return 0.5 * (t_lo + t_hi)
+
+
 def serial_nearest_distance(spec):
     """Reference for compute_constants' d: row norms over the gathered negative points."""
     pts = _scan_points(spec, _scan_resolution(spec.dim))
@@ -540,3 +578,111 @@ def test_smallest_orders_ties_by_index():
         np.testing.assert_array_equal(_smallest(x, k), np.argsort(x, kind="stable")[:k])
     x = np.random.default_rng(7).integers(0, 50, size=5000).astype(float)
     np.testing.assert_array_equal(_smallest(x, 32), np.argsort(x, kind="stable")[:32])
+
+
+GRID_SPECS = {**POINT_GRADIENT_SPECS, "poly3_reordered": REFERENCE_SPECS["poly3_reordered"]}
+
+
+@pytest.mark.parametrize("name", list(GRID_SPECS))
+def test_grid_value_matches_value_on_scan(name):
+    # the analysis scans the box with grid_value: the built-ins derive it
+    # from value and must agree bit for bit; a polynomial contracts its term
+    # table in another order, so it must agree to roundoff and give the
+    # same negative region
+    spec = GRID_SPECS[name]()
+    per_axis = _scan_resolution(spec.dim)
+    got = spec.grid_value(_scan_axes(spec, per_axis))
+    assert got.shape == (per_axis,) * spec.dim
+    want = spec.value(_scan_points(spec, per_axis)).reshape(got.shape)
+    if spec.variant == "user_polynomial":
+        np.testing.assert_array_equal(got < -NEG_TOL, want < -NEG_TOL)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+    else:
+        assert np.array_equal(got, want)
+
+
+def reference_deepest_well(spec):
+    """Reference for compute_constants' m and point_a: L-BFGS-B from the lowest scan cells."""
+    lo, hi = spec.bounding_box[:, 0], spec.bounding_box[:, 1]
+    pts = _scan_points(spec, _scan_resolution(spec.dim))
+    w = spec.value(pts)
+    order = _smallest(w, 32)
+    best_val = np.inf
+    best_pt = pts[order[0]]
+    tried: list[np.ndarray] = []
+    for idx in order:
+        p0 = pts[idx]
+        if any(np.linalg.norm(p0 - t) < 0.05 * np.max(hi - lo) for t in tried):
+            continue
+        tried.append(p0)
+        res = scipy_minimize(
+            lambda u: float(spec.value(u)),
+            p0,
+            jac=lambda u: np.asarray(spec.gradient(u), dtype=float),
+            bounds=list(zip(lo, hi)),
+            method="L-BFGS-B",
+        )
+        if res.fun < best_val:
+            best_val, best_pt = float(res.fun), np.asarray(res.x)
+        if len(tried) >= 5:
+            break
+    return -best_val, best_pt
+
+
+def reference_segment_max(spec, point_a):
+    """Reference for compute_constants' M: bounded Brent on the sampled maximum's bracket."""
+    b = spec.well_b
+    seg = lambda t: point_a + np.multiply.outer(np.asarray(t), b - point_a)
+    ts = np.linspace(0.0, 1.0, _scan_resolution(spec.dim))
+    seg_vals = spec.value(seg(ts))
+    i = int(np.argmax(seg_vals))
+    t_lo, t_hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    res = scipy_minimize_scalar(
+        lambda t: -float(spec.value(seg(float(t)))),
+        bounds=(t_lo, t_hi),
+        method="bounded",
+        options={"xatol": 1e-13},
+    )
+    return max(0.0, -float(res.fun), float(seg_vals[i]))
+
+
+CONSTANT_SPECS = {
+    "scalar_0.4": lambda: scalar_cubic(0.4),
+    "scalar_0.6": lambda: scalar_cubic(0.6),
+    "scalar_1.0": lambda: scalar_cubic(1.0),
+    "decoupled": REFERENCE_SPECS["decoupled"],
+    "poly3": REFERENCE_SPECS["poly3"],
+    "poly3_reordered": REFERENCE_SPECS["poly3_reordered"],
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_SPECS))
+def test_deepest_well_and_barrier_match_scipy_reference(name):
+    spec = CONSTANT_SPECS[name]()
+    consts = compute_constants(spec)
+    m, point_a = reference_deepest_well(spec)
+    assert abs(consts.m - m) <= 1e-12
+    assert np.max(np.abs(consts.point_a - point_a)) <= 1e-9
+    assert abs(consts.M - reference_segment_max(spec, point_a)) <= 1e-12
+
+
+def test_no_negative_equilibrium_is_rejected(monkeypatch):
+    monkeypatch.setattr(gradwave.potential, "find_equilibria", lambda spec: [])
+    with pytest.raises(AssumptionViolationError) as err:
+        compute_constants(scalar_cubic(0.6))
+    assert str(err.value) == "no negative-potential equilibrium found inside the bounding box"
+
+
+@pytest.mark.parametrize("lo, hi, x_min", [(-1.0, 3.0, 0.3), (0.0, 1.0, 0.0), (0.0, 1.0, 1.0)])
+def test_golden_section_min_brackets_the_minimizer(lo, hi, x_min):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - x_min) ** 2
+
+    x, fx = golden_section_min(f, lo, hi, 1e-9)
+    evaluated = list(calls)
+    assert abs(x - x_min) <= 1e-9
+    assert x in evaluated and all(lo <= t <= hi for t in evaluated)
+    assert fx == f(x) == min(f(t) for t in evaluated)
