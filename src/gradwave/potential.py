@@ -574,20 +574,12 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
         lambda t: -float(spec.value(point_a + t * step)), float(t_lo), float(t_hi), 1e-13)
     M = max(0.0, -neg_top, float(seg_vals[i]))
 
-    # distance from b to the negative region: nearest negative scan points,
-    # refined by bisecting each segment from b for its first sign change.
-    # The squared distance of every scan point is an outer sum of per-axis
-    # squared offsets, added in axis order as a row norm adds them, so only
-    # one value per negative point is gathered, and only the nearest points'
-    # coordinates are rebuilt.
-    d2 = (axes[0] - b[0]) ** 2
-    for k in range(1, spec.dim):
-        d2 = np.add.outer(d2, (axes[k] - b[k]) ** 2)
-    neg = np.flatnonzero(w < -NEG_TOL)
-    dist = np.sqrt(d2.ravel()[neg])
-    near_order = _smallest(dist, 16)
-    d = float(dist[near_order[0]])
-    index = np.unravel_index(neg[near_order], w.shape)
+    # distance from b to the negative region: the nearest negative scan
+    # points, refined by bisecting each segment from b for its first sign
+    # change.  Only their coordinates are rebuilt from the scan indices.
+    flat, dist = _nearest_negative(axes, w, b, 16)
+    d = float(dist[0])
+    index = np.unravel_index(flat, w.shape)
     near = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
     lengths = _row_norms(near - b)
     for t_cross, length in zip(_first_negative_crossings(spec, b, near), lengths):
@@ -598,6 +590,43 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
 
     return PotentialConstants(m=m, point_a=point_a, M=float(M), d=float(d),
                               mu=float(eigs[0]), equilibria=tuple(equilibria))
+
+
+def _nearest_negative(axes, w: np.ndarray, b, k: int):
+    """Flat scan indices and distances to b of the k nearest points with W < -NEG_TOL.
+
+    Ordered by (distance, index), as ``_smallest`` orders the distances of
+    all negative points, and with the same distances: the squared distance
+    is an outer sum of per-axis squared offsets, added in axis order as a
+    row norm adds them.  Only a window is searched: along each axis the scan
+    points whose offset from b is at most r, with r doubled from four scan
+    steps until the ball of radius r holds k negative points or the window
+    is the whole grid.  Every point outside the window is farther than r,
+    and C order inside the window keeps the grid's index order, so the
+    window finds the same points as the whole grid.
+    """
+    sq = [(axis - bk) ** 2 for axis, bk in zip(axes, b)]
+    offsets = [np.sqrt(s) for s in sq]
+    reach = max(float(o.max()) for o in offsets)
+    step = max(float(axis[1] - axis[0]) for axis in axes)
+    r = min(4.0 * step, reach) if step > 0 else reach
+    while True:
+        spans = []
+        for o in offsets:
+            inside = np.flatnonzero(o <= r)
+            spans.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
+        d2 = sq[0][spans[0]]
+        for s, span in zip(sq[1:], spans[1:]):
+            d2 = np.add.outer(d2, s[span])
+        neg = np.flatnonzero(w[tuple(spans)] < -NEG_TOL)
+        dist = np.sqrt(d2.ravel()[neg])
+        if r >= reach or np.count_nonzero(dist <= r) >= k:
+            break
+        r = min(2.0 * r, reach)
+    order = _smallest(dist, k)
+    local = np.unravel_index(neg[order], d2.shape)
+    flat = np.ravel_multi_index(tuple(i + span.start for i, span in zip(local, spans)), w.shape)
+    return flat, dist[order]
 
 
 def _smallest(x: np.ndarray, k: int) -> np.ndarray:
@@ -727,14 +756,23 @@ def find_equilibria(spec: PotentialSpec) -> list[np.ndarray]:
     inside = ~(np.any(roots < lo - 1e-9, axis=1) | np.any(roots > hi + 1e-9, axis=1))
     roots = roots[inside]
     roots = roots[~(np.asarray(spec.value(roots), dtype=float) >= -NEG_TOL)]
-    found = np.empty_like(roots)
-    n_found = 0
-    for q in roots:
-        if n_found and np.any(_row_norms(q - found[:n_found]) < 1e-6):
-            continue
-        found[n_found] = q
-        n_found += 1
-    return list(found[:n_found])
+    return list(_distinct_in_order(roots, 1e-6))
+
+
+def _distinct_in_order(points: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of ``points`` that are not within ``tol`` of an earlier kept row.
+
+    A sweep in row order: the first row left is kept and drops every later
+    row within ``tol`` of it in one ``_row_norms`` call, so it takes one pass
+    per kept row and keeps the rows a row-by-row greedy loop keeps.
+    """
+    left = np.arange(len(points))
+    kept = []
+    while left.size:
+        first, rest = left[0], left[1:]
+        kept.append(first)
+        left = rest[~(_row_norms(points[rest] - points[first]) < tol)]
+    return points[kept]
 
 
 def well_minima(spec: PotentialSpec, equilibria) -> list[np.ndarray]:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,11 @@ import gradwave.potential
 from gradwave.potential import (
     NEG_TOL,
     _Monomials,
+    _check_assumptions,
+    _distinct_in_order,
+    _nearest_negative,
     _quartic_well,
+    _row_norms,
     _scan_axes,
     _scan_resolution,
     _smallest,
@@ -578,6 +583,133 @@ def test_smallest_orders_ties_by_index():
         np.testing.assert_array_equal(_smallest(x, k), np.argsort(x, kind="stable")[:k])
     x = np.random.default_rng(7).integers(0, 50, size=5000).astype(float)
     np.testing.assert_array_equal(_smallest(x, 32), np.argsort(x, kind="stable")[:32])
+
+
+def full_grid_nearest_negative(axes, w, b, k):
+    """Reference for _nearest_negative: distances of every negative scan point."""
+    d2 = (axes[0] - b[0]) ** 2
+    for j in range(1, len(axes)):
+        d2 = np.add.outer(d2, (axes[j] - b[j]) ** 2)
+    neg = np.flatnonzero(w < -NEG_TOL)
+    dist = np.sqrt(d2.ravel()[neg])
+    near_order = _smallest(dist, k)
+    return neg[near_order], dist[near_order]
+
+
+@st.composite
+def negative_masks(draw):
+    """Small scan grids, W = -1 on a random mask and +1 (or -NEG_TOL, not negative) off it.
+
+    Steps of 0.25 and 0.5 put b and the grid on dyadic values, so symmetric
+    masks and lattice offsets such as (1, 2) and (2, 1) give exactly tied
+    distances; b may sit on the grid, between its points or outside the box.
+    """
+    dim = draw(st.integers(2, 3))
+    shape = [draw(st.integers(2, 40 if dim == 2 else 14)) for _ in range(dim)]
+    step = draw(st.sampled_from([0.25, 0.5, 0.3]))
+    axes = [step * (np.arange(n) - draw(st.integers(0, n - 1))) for n in shape]
+    b = np.array([
+        draw(st.one_of(st.integers(-4, 2 * len(axis) + 2).map(lambda i: axis[0] + 0.5 * step * i),
+                       st.floats(-8.0, 8.0)))
+        for axis in axes])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.002, 0.02, 0.1, 0.5]))
+    if draw(st.booleans()):
+        for j in range(dim):
+            mask |= np.flip(mask, j)
+    w = np.where(mask, -1.0, np.where(rng.random(shape) < 0.1, -NEG_TOL, 1.0))
+    return axes, w, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=negative_masks())
+def test_window_search_matches_full_grid(case):
+    axes, w, b = case
+    flat, dist = _nearest_negative(axes, w, b, 16)
+    ref_flat, ref_dist = full_grid_nearest_negative(axes, w, b, 16)
+    np.testing.assert_array_equal(flat, ref_flat)
+    assert np.array_equal(dist, ref_dist)
+
+
+def loop_distinct(roots):
+    """Reference for _distinct_in_order: find_equilibria's former root-by-root dedupe."""
+    found = np.empty_like(roots)
+    n_found = 0
+    for q in roots:
+        if n_found and np.any(_row_norms(q - found[:n_found]) < 1e-6):
+            continue
+        found[n_found] = q
+        n_found += 1
+    return found[:n_found]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), n=st.integers(0, 200),
+       spread=st.sampled_from([3e-7, 1e-6, 3e-6]))
+def test_distinct_in_order_matches_loop(seed, dim, n, spread):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-2.0, 2.0, size=(5, dim))
+    roots = centres[rng.integers(0, 5, size=n)] + spread * rng.standard_normal((n, dim))
+    assert np.array_equal(_distinct_in_order(roots, 1e-6), loop_distinct(roots))
+
+
+def test_distinct_in_order_keeps_chain_ends():
+    # 0.6e-6 apart: the second root is within 1e-6 of the kept first and is
+    # dropped, the third is 1.2e-6 from the first and only near the dropped one
+    roots = np.array([[0.0, 1.0], [0.6e-6, 1.0], [1.2e-6, 1.0]])
+    np.testing.assert_array_equal(loop_distinct(roots), roots[[0, 2]])
+    np.testing.assert_array_equal(_distinct_in_order(roots, 1e-6), roots[[0, 2]])
+
+
+def test_constants_peak_memory_is_about_one_scan():
+    # the scan W itself is the one full-grid array: the search for d looks
+    # in a window around b, so no other temporary is the size of the grid
+    spec = REFERENCE_SPECS["poly3"]()
+    scan_bytes = _check_assumptions(spec)[2].nbytes
+    tracemalloc.start()
+    try:
+        compute_constants(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * scan_bytes
+
+
+def coupling_terms(eps, i, j, dim):
+    """Monomial table of eps (u_i - 1)^2 (u_j - 1)^2, which leaves b = (1, ..., 1) alone."""
+    terms = []
+    for ci, ei in ((1.0, 2), (-2.0, 1), (1.0, 0)):
+        for cj, ej in ((1.0, 2), (-2.0, 1), (1.0, 0)):
+            exps = [0] * dim
+            exps[i] += ei
+            exps[j] += ej
+            terms.append((eps * ci * cj, exps))
+    return terms
+
+
+POLY3_TERMS = {
+    "poly3": quartic_well_terms((0.6, 0.9, 1.2)),
+    "poly3_coupled": quartic_well_terms((0.6, 0.9, 1.2)) + coupling_terms(0.1, 0, 1, 3),
+}
+
+
+@pytest.mark.parametrize("perm", [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)])
+@pytest.mark.parametrize("name", list(POLY3_TERMS))
+def test_permuting_components_permutes_the_analysis(name, perm):
+    # component j of the permuted potential is component perm[j] of the
+    # original, so its wells are the original wells with coordinates permuted
+    terms = POLY3_TERMS[name]
+    base = compute_constants(user_polynomial(3, terms, [1.0] * 3, [[-2.0, 2.0]] * 3))
+    permuted = [(coeff, [exps[k] for k in perm]) for coeff, exps in terms]
+    got = compute_constants(user_polynomial(3, permuted, [1.0] * 3, [[-2.0, 2.0]] * 3))
+    for field in ("m", "M", "d", "mu"):
+        assert abs(getattr(got, field) - getattr(base, field)) <= 1e-12, field
+    assert np.max(np.abs(got.point_a - base.point_a[list(perm)])) <= 1e-9
+    want = np.array(base.equilibria)[:, list(perm)]
+    eq = np.array(got.equilibria)
+    assert eq.shape == want.shape
+    gaps = np.linalg.norm(eq[:, None, :] - want[None, :, :], axis=-1)
+    assert np.all(gaps.min(axis=1) <= 1e-9) and np.all(gaps.min(axis=0) <= 1e-9)
 
 
 GRID_SPECS = {**POINT_GRADIENT_SPECS, "poly3_reordered": REFERENCE_SPECS["poly3_reordered"]}
