@@ -239,11 +239,15 @@ class _Monomials:
     Built from (coefficient, exponents, slot) triples.  Evaluation maps
     (..., dim) to (..., n_slots) with multiplies only: powers come from
     repeated multiplication, never from ``pow``.  A single point is evaluated
-    in plain floats by ``_point``, list in and list out, which beats numpy's
-    per-call overhead on a handful of terms; a batch is processed in row
-    chunks, so its temporaries stay at O(chunk * dim * max exponent) however
-    many rows it has.  Both routes form each monomial, scale it and sum the
-    terms in the same order, so they agree bit for bit.
+    in plain floats by ``_point``, list in and list out: straight-line code
+    compiled once, here, from the table (its text is ``source``), with one
+    statement per term that adds the term's factors times its coefficient
+    into the slot's accumulator.  The coefficients are bound as names in the
+    function's namespace, so the source holds only identifiers and table
+    indices.  A batch is processed in row chunks by ``_rows``, so its
+    temporaries stay at O(chunk * dim * max exponent) however many rows it
+    has.  Both routes form each monomial, scale it and sum the terms in table
+    order with the same float operations, so they agree bit for bit.
     """
 
     CHUNK = 8192
@@ -258,27 +262,35 @@ class _Monomials:
         ]
         self.top = [max((e for _, _, fs in self.terms for k, e in fs if k == j), default=0)
                     for j in range(dim)]
+        self.source = self._point_source()
+        namespace = {f"c{i}": c for i, (c, _, _) in enumerate(self.terms)}
+        exec(compile(self.source, "<_Monomials._point>", "exec"), namespace)
+        self._point = namespace["_point"]
+
+    def _point_source(self) -> str:
+        """Text of ``_point(x)``: powers, one accumulator per slot, one line per term.
+
+        ``a * b * c`` multiplies left to right, as ``_rows`` does; the sums
+        are sequential ``+=`` in table order (never ``sum``, which compensates
+        on Python >= 3.12).
+        """
+        def power(k, e):
+            return f"x{k}" if e == 1 else f"x{k}_{e}"
+
+        lines = ["def _point(x):", "    " + "".join(f"x{k}, " for k in range(self.dim)) + "= x"]
+        lines += [f"    x{k}_{e} = {power(k, e - 1)} * x{k}"
+                  for k, top in enumerate(self.top) for e in range(2, top + 1)]
+        lines += [f"    s{j} = 0.0" for j in range(self.n_slots)]
+        lines += [f"    s{slot} += " + "".join(f"{power(k, e)} * " for k, e in factors) + f"c{i}"
+                  for i, (_, slot, factors) in enumerate(self.terms)]
+        lines.append("    return [" + ", ".join(f"s{j}" for j in range(self.n_slots)) + "]")
+        return "\n".join(lines) + "\n"
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if u.ndim == 1:
             return np.array(self._point(u.tolist()))
         rows = u.reshape(-1, self.dim)
         return self._rows(rows).reshape(u.shape[:-1] + (self.n_slots,))
-
-    def _point(self, x):
-        powers = []
-        for xk, top in zip(x, self.top):
-            pk = [1.0, xk]
-            for _ in range(top - 1):
-                pk.append(pk[-1] * xk)
-            powers.append(pk)
-        out = [0.0] * self.n_slots
-        for c, slot, factors in self.terms:
-            m = 1.0
-            for k, e in factors:
-                m *= powers[k][e]
-            out[slot] += m * c
-        return out
 
     def _rows(self, u):
         n = u.shape[0]

@@ -277,9 +277,10 @@ _CSV_CHUNK = 512
 def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
     """Write the profile with CRLF line ends and each value as its Python repr.
 
-    Rows are formatted from float lists a chunk at a time: one ``repr`` per
-    value on numpy scalars costs more than the whole table's arithmetic.  The
-    bytes are those a ``csv.writer`` writes from the same strings.
+    Rows are formatted from float lists a chunk at a time, with one ``%``
+    over the whole chunk: one ``repr`` per value on numpy scalars costs more
+    than the whole table's arithmetic.  The bytes are those a ``csv.writer``
+    writes from the same strings.
     """
     w = spec.value(profile.values)
     du = derivative(profile).values
@@ -290,8 +291,8 @@ def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(table), _CSV_CHUNK):
-            rows = table[start:start + _CSV_CHUNK].tolist()
-            fh.write("".join([row % tuple(r) for r in rows]))
+            block = table[start:start + _CSV_CHUNK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path, spec: PotentialSpec) -> Profile:

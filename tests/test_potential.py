@@ -3,8 +3,10 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +361,130 @@ def test_derived_point_gradient_shoots_like_builtin(scalar_spec, scalar_consts, 
     assert custom.point_gradient([0.3]) == scalar_spec.point_gradient([0.3])
     gap = shooting_check(custom, scalar_consts, 0.6, analytic_wave)
     assert gap == shooting_check(scalar_spec, scalar_consts, 0.6, analytic_wave)
+
+
+def loop_point(self, x):
+    """Reference for the compiled _Monomials._point: the term loop it replaced."""
+    powers = []
+    for xk, top in zip(x, self.top):
+        pk = [1.0, xk]
+        for _ in range(top - 1):
+            pk.append(pk[-1] * xk)
+        powers.append(pk)
+    out = [0.0] * self.n_slots
+    for c, slot, factors in self.terms:
+        m = 1.0
+        for k, e in factors:
+            m *= powers[k][e]
+        out[slot] += m * c
+    return out
+
+
+def polynomial_kernels(dim, terms):
+    """The value, gradient and Hessian _Monomials that user_polynomial builds from terms."""
+    built = []
+
+    class Recording(_Monomials):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with mock.patch.object(gradwave.potential, "_Monomials", Recording):
+        user_polynomial(dim, terms, [0.0] * dim, [[-1.0, 1.0]] * dim)
+    return built
+
+
+def assert_same_floats(got, want):
+    # equal with the same sign, zeros and infinities included; NaN matches NaN
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is float
+        if math.isnan(w):
+            assert math.isnan(g), (got, want)
+        else:
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (got, want)
+
+
+def assert_kernel_matches_references(kernel, points):
+    for x in points:
+        want = loop_point(kernel, x)
+        assert_same_floats(kernel._point(x), want)
+        with np.errstate(all="ignore"):
+            rows = kernel._rows(np.array([x], dtype=float))
+        assert_same_floats(rows[0].tolist(), want)
+
+
+SPECIAL_COORDS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def term_tables(draw):
+    dim = draw(st.integers(1, 5))
+    exps = st.lists(st.integers(0, 8), min_size=dim, max_size=dim)
+    coeff = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 1e16, -1e16, 1e-300]))
+    terms = draw(st.lists(st.tuples(coeff, exps), min_size=1, max_size=12))
+    coord = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SPECIAL_COORDS))
+    points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    return dim, terms, points
+
+
+def _special_points(dim):
+    return [[-0.0] * dim, [0.0, -0.0] * (dim // 2) + [-0.0] * (dim % 2),
+            [math.inf] * dim, [-math.inf, 1.5] * (dim // 2) + [-math.inf] * (dim % 2),
+            [math.nan] + [0.5] * (dim - 1), [-2.0, 3.0] * (dim // 2) + [0.7] * (dim % 2)]
+
+
+@settings(max_examples=150, deadline=None)
+# repeated exponent rows summed into one slot
+@example(case=(2, [(0.5, [2, 1]), (-0.25, [2, 1]), (1.5, [2, 1]), (0.1, [0, 0])],
+               _special_points(2)))
+# a constant only: empty gradient and Hessian tables
+@example(case=(3, [(2.5, [0, 0, 0])], _special_points(3)))
+# no cross terms: the off-diagonal Hessian slots stay empty
+@example(case=(2, quartic_well_terms((0.6, 1.2)), _special_points(2)))
+@example(case=(3, [(1.0, [4, 0, 0]), (-2.0, [2, 0, 0])], _special_points(3)))
+@given(case=term_tables())
+def test_compiled_point_matches_loop_and_rows(case):
+    # the straight-line kernel runs the loop's float operations in its order,
+    # so it equals both the loop and the batch route bit for bit
+    dim, terms, points = case
+    kernels = polynomial_kernels(dim, terms)
+    assert [k.n_slots for k in kernels] == [1, dim, dim * dim]
+    for kernel in kernels:
+        assert_kernel_matches_references(kernel, points)
+
+
+def test_compiled_point_on_a_large_table():
+    # one statement per term: no nesting or recursion limit however long the table
+    rng = np.random.default_rng(13)
+    dim, n_slots = 6, 6
+    terms = [(c, exps, slot) for c, exps, slot in zip(
+        rng.standard_normal(2000), rng.integers(0, 9, size=(2000, dim)),
+        rng.integers(0, n_slots, size=2000))]
+    kernel = _Monomials(terms, dim, n_slots)
+    assert kernel.source.count("+=") == 2000
+    points = rng.uniform(-1.5, 1.5, size=(20, dim)).tolist() + _special_points(dim)
+    assert_kernel_matches_references(kernel, points)
+
+
+@pytest.mark.parametrize("exps, x", [([0], 0.5), ([1], 1.0)])
+def test_slot_sums_in_table_order(exps, x):
+    # 1e16 + 1.0 rounds back to 1e16, so sequential adds give 0.0 where an
+    # exact or compensated sum (Python >= 3.12's builtin sum) gives 1.0
+    kernel = _Monomials([(1e16, exps, 0), (1.0, exps, 0), (-1e16, exps, 0)], 1, 1)
+    assert kernel._point([x]) == [0.0]
+    assert kernel._rows(np.array([[x]])).tolist() == [[0.0]]
+
+
+def test_coefficients_never_reach_the_source():
+    exps = [[2, 0], [1, 1], [0, 3], [0, 0]]
+    plain = polynomial_kernels(2, list(zip([1.0, 2.0, 3.0, 4.0], exps)))
+    odd = polynomial_kernels(2, list(zip([math.nan, math.inf, -0.0, 1e-300], exps)))
+    for a, b in zip(plain, odd):
+        assert a.source == b.source
+        # the only float literal is the accumulators' 0.0
+        assert set(re.findall(r"\d*\.\d+|\d+e|\binf\b|\bnan\b", a.source)) == {"0.0"}
+        assert b._point([1.0, 1.0]) != a._point([1.0, 1.0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,9 +12,11 @@ from gradwave import (
     MinimizeOptions,
     NotAWaveError,
     compute_bounds,
+    compute_constants,
     derivative,
     find_speed,
     segment_profile,
+    user_polynomial,
     wave_at_speed,
 )
 from gradwave.speed import (
@@ -25,7 +27,7 @@ from gradwave.speed import (
     transfer_profile,
 )
 from gradwave.verify import run_verify
-from conftest import make_grid
+from conftest import make_grid, quartic_well_terms
 
 
 class TestFindSpeedScalar:
@@ -70,6 +72,46 @@ class TestFindSpeedDecoupled:
         assert np.max(np.abs(u[:, 0] - 1.0)) <= 1e-3  # first component stays at the well
         assert u[0, 1] == pytest.approx(-1.0, abs=1e-3)  # second transitions
         assert u[-1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+POLY_C_TOL = 1e-3
+
+
+def poly_speed(spec, h):
+    """``find_speed`` at ``POLY_C_TOL`` without restarts, and whether the wave verifies."""
+    consts = compute_constants(spec)
+    grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=h)
+    res = find_speed(spec, consts, grid, MinimizeOptions(restarts=0), POLY_C_TOL)
+    return res.c_star, run_verify(spec, consts, res.c_star, res.profile,
+                                  res.gamma_at_c_star).passed
+
+
+@pytest.fixture(scope="module")
+def builtin_decoupled_c_star(decoupled_spec):
+    c_star, passed = poly_speed(decoupled_spec, 0.02)
+    assert passed
+    return c_star
+
+
+class TestFindSpeedPolynomial:
+    """``find_speed`` on term tables, where the shooting runs the compiled kernel."""
+
+    @pytest.mark.parametrize("speeds", [(0.6, 1.2), (1.2, 0.6)])
+    def test_expanded_decoupled_matches_builtin(self, speeds, builtin_decoupled_c_star):
+        spec = user_polynomial(2, quartic_well_terms(speeds), [1.0, 1.0], [[-2.0, 2.0]] * 2)
+        c_star, passed = poly_speed(spec, 0.02)
+        assert abs(c_star - builtin_decoupled_c_star) <= POLY_C_TOL
+        assert passed
+
+    def test_scaled_potential_scales_the_speed(self):
+        # k^2 W has the waves u(k x) at speed k c*; on a grid k times finer the
+        # scaled profile is sampled as the unscaled one is at h = 0.02
+        k = 1.5
+        terms = [(k * k * c, exps) for c, exps in quartic_well_terms((0.6, 1.2))]
+        spec = user_polynomial(2, terms, [1.0, 1.0], [[-2.0, 2.0]] * 2)
+        c_star, passed = poly_speed(spec, 0.02 / k)
+        assert abs(c_star - k * 1.2) <= POLY_C_TOL
+        assert passed
 
 
 class TestWaveAtSpeed:
