@@ -132,7 +132,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
                          repr(res.feasibility_violation)])
     profile_paths = []
     for res in results:
-        p = out_dir / f"profile_c{res.c:g}.csv"
+        tag = f"{res.c:g}"
+        if float(tag) != res.c:  # a rounded name could be another speed's file
+            tag = repr(res.c)
+        p = out_dir / f"profile_c{tag}.csv"
         write_csv(p, res.profile, spec)
         profile_paths.append(str(p))
 
@@ -210,7 +213,10 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, profile_path: str) -> int:
         raise ConfigError("mode.c is required for the verify command")
     spec = build_potential(cfg)
     consts = compute_constants(spec)
-    profile = read_csv(profile_path, spec)
+    try:
+        profile = read_csv(profile_path, spec)
+    except OSError as err:
+        raise ConfigError(f"cannot read the profile: {err}") from None
     gamma_hat = energy(spec, FunctionalParams(c=cfg.c, penalty_kappa=0.0), profile)
     report_verify = run_verify(spec, consts, cfg.c, profile, gamma_hat)
 

@@ -295,10 +295,18 @@ def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path, spec: PotentialSpec) -> Profile:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         expected = ["x"] + [f"u{k + 1}" for k in range(spec.dim)] + ["W", "du_norm"]
         if header != expected:
             missing = [c for c in expected if c not in header]
@@ -316,8 +324,15 @@ def read_csv(path, spec: PotentialSpec) -> Profile:
                 raise ContractViolationError(
                     f"profile CSV row has {len(row)} fields, expected {len(expected)}"
                 )
-            xs.append(float(row[0]))
-            vals.append([float(v) for v in row[1 : 1 + spec.dim]])
+            try:
+                xs.append(float(row[0]))
+                vals.append([float(v) for v in row[1 : 1 + spec.dim]])
+            except ValueError:
+                col = next(k for k in range(1 + spec.dim) if not _is_float(row[k]))
+                raise ContractViolationError(
+                    f"profile CSV line {rd.line_num}, column '{expected[col]}': "
+                    f"{row[col]!r} is not a number"
+                ) from None
     grid = Grid(nodes=np.array(xs))
     values = np.array(vals)
     if not np.array_equal(values[-1], spec.well_b):

@@ -10,6 +10,7 @@ manifold at the right well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -250,47 +251,87 @@ def left_tail_report(
     return grad_norm, w_limit, float(np.linalg.norm(u_left - nearest)), nearest
 
 
+@functools.cache
+def _stepper(n: int):
+    """The RK4 stepper for a state of ``n`` positions and ``n`` velocities.
+
+    Compiled once per ``n`` from ``_stepper_source(n)``; ``isfinite`` is
+    bound in its namespace.
+    """
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(_stepper_source(n), f"<_stepper({n})>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _stepper_source(n: int) -> str:
+    """Text of ``step(point_gradient, y, x, c, half, hstep, sixth, lo, hi, n_steps)``.
+
+    The state is unpacked into locals ``p0..``, ``v0..`` and every stage is
+    unrolled into scalar statements.  Stage ``s`` takes positions ``P{s}_i``
+    and velocities ``V{s}_i`` (stage 1 takes ``p``, ``v`` themselves), makes
+    one ``point_gradient`` call and has derivative ``(V{s}_i, K{s}_i)`` with
+    ``K = g - c * V``.  The source holds only identifiers and indices.
+    """
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(i=i) for i in range(n))
+
+    def stage(s, pos, vel):
+        return [f"        {each('g{i}')}, = point_gradient([{each(pos)}])",
+                *(f"        K{s}_{i} = g{i} - c * {vel.format(i=i)}" for i in range(n))]
+
+    def inputs(s, scale, kp, kv):
+        return ([f"        P{s}_{i} = p{i} + {scale} * {kp.format(i=i)}" for i in range(n)]
+                + [f"        V{s}_{i} = v{i} + {scale} * {kv.format(i=i)}" for i in range(n)])
+
+    lines = [
+        "def step(point_gradient, y, x, c, half, hstep, sixth, lo, hi, n_steps):",
+        f"    {each('p{i}')}, {each('v{i}')}, = y",
+        f"    {each('lo{i}')}, = lo",
+        f"    {each('hi{i}')}, = hi",
+        "    xs = [x]",
+        "    ys = [y]",
+        "    for _ in range(n_steps):",
+        *stage(1, "p{i}", "v{i}"),
+        *inputs(2, "half", "v{i}", "K1_{i}"),
+        *stage(2, "P2_{i}", "V2_{i}"),
+        *inputs(3, "half", "V2_{i}", "K2_{i}"),
+        *stage(3, "P3_{i}", "V3_{i}"),
+        *inputs(4, "hstep", "V3_{i}", "K3_{i}"),
+        *stage(4, "P4_{i}", "V4_{i}"),
+        *(f"        p{i} = p{i} + sixth * (v{i} + 2 * V2_{i} + 2 * V3_{i} + V4_{i})"
+          for i in range(n)),
+        *(f"        v{i} = v{i} + sixth * (K1_{i} + 2 * K2_{i} + 2 * K3_{i} + K4_{i})"
+          for i in range(n)),
+        "        x += hstep",
+        "        xs.append(x)",
+        f"        ys.append([{each('p{i}')}, {each('v{i}')}])",
+        f"        if ({each('p{i} < lo{i}', ' or ')} or {each('p{i} > hi{i}', ' or ')} or not (",
+        f"                {each('isfinite(p{i})', ' and ')} and {each('isfinite(v{i})', ' and ')})):",
+        "            break",
+        "    return xs, ys",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _rk4_backward(spec, c, x_start, y0, step, x_stop_target, box_lo, box_hi):
     """Classical four-stage Runge-Kutta for the wave ODE, integrating leftward.
 
     Returns (xs descending, states) up to the target or until the position
-    variable leaves the doubled bounding box.  The state is a list of floats
-    and each stage makes one ``spec.point_gradient`` call on floats, no numpy
-    call: numpy calls on 2n-element arrays cost more than the arithmetic they
-    do.  The point gradient equals the batch gradient bit for bit, and every
-    element is computed in the order an array expression would compute it,
-    so the trajectory is bit-identical to one built from numpy stage arrays.
+    variable leaves the doubled bounding box or the state stops being finite;
+    the exiting step is kept.  The steps run in ``_stepper(n)``, straight-line
+    float code compiled once per state dimension: each stage makes one
+    ``spec.point_gradient`` call and no numpy call, since numpy calls on
+    2n-element arrays cost more than the arithmetic they do.  The point
+    gradient equals the batch gradient bit for bit, and the stepper computes
+    every element with the float operations, in the order, that the numpy
+    stage-array loop does, so the trajectory is bit-identical to that loop's.
     """
-    n = y0.size // 2
-    c = float(c)
-    lo, hi = np.asarray(box_lo, dtype=float).tolist(), np.asarray(box_hi, dtype=float).tolist()
-    point_gradient = spec.point_gradient
-
-    def f(y):
-        g = point_gradient(y[:n])
-        return y[n:] + [gk - c * vk for gk, vk in zip(g, y[n:])]
-
-    hstep = -abs(step)
-    half = 0.5 * hstep
-    sixth = hstep / 6.0
-    y = y0.tolist()
-    xs = [x_start]
-    ys = [y]
-    xcur = x_start
+    hstep = -abs(float(step))
     n_steps = int(np.ceil((x_start - x_stop_target) / abs(step)))
-    for _ in range(n_steps):
-        k1 = f(y)
-        k2 = f([a + half * k for a, k in zip(y, k1)])
-        k3 = f([a + half * k for a, k in zip(y, k2)])
-        k4 = f([a + hstep * k for a, k in zip(y, k3)])
-        y = [a + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
-             for a, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
-        xcur += hstep
-        xs.append(xcur)
-        ys.append(y)
-        if (any(v < b for v, b in zip(y, lo)) or any(v > b for v, b in zip(y, hi))
-                or not all(map(math.isfinite, y))):
-            break
+    xs, ys = _stepper(y0.size // 2)(
+        spec.point_gradient, y0.tolist(), x_start, float(c), 0.5 * hstep, hstep, hstep / 6.0,
+        np.asarray(box_lo, dtype=float).tolist(), np.asarray(box_hi, dtype=float).tolist(),
+        n_steps)
     return np.array(xs), np.array(ys)
 
 
@@ -306,7 +347,9 @@ def shooting_check(
     Initial data sit on the linearized stable manifold of the right well
     (eigendirection of the smallest Hessian eigenvalue), with amplitude
     matched to the profile's own tail; the integration runs backward with a
-    classical four-stage Runge-Kutta at a quarter of the grid spacing.  The
+    classical four-stage Runge-Kutta at a quarter of the grid spacing, in
+    the straight-line stepper compiled once per state dimension (see
+    ``_rk4_backward``), bit-identical to a numpy stage-array loop.  The
     gap is the max-norm mismatch over the middle 60 percent of the span the
     trajectory covers, after optimal translation alignment.  Divergence
     before the trajectory reaches 0 raises an error: the profile is not a

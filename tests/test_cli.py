@@ -250,6 +250,50 @@ directory = {out}
         assert gammas[0] < 0 < gammas[1]
 
 
+    def test_close_speeds_get_their_own_profiles(self, tmp_path, monkeypatch):
+        # 0.6000001 prints as 0.6 under :g; its profile must not overwrite 0.6's
+        results = []
+        curve = gradwave.cli.gamma_curve
+
+        def recording(*args, **kwargs):
+            results.extend(curve(*args, **kwargs))
+            return results
+
+        monkeypatch.setattr(gradwave.cli, "gamma_curve", recording)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"""
+[potential]
+variant = scalar_cubic
+alpha = 0.6
+
+[grid]
+x_left = -30
+x_right = 10
+h = 0.05
+
+[solver]
+opt_tol = 1e-5
+restarts = 0
+
+[mode]
+c_list = 0.6, 0.6000001
+
+[output]
+directory = {out}
+""")
+        assert main(["gamma", "--config", cfg]) == 0
+        paths = json.loads((out / "report.json").read_text())["result"]["profiles"]
+        assert [Path(p).name for p in paths] == ["profile_c0.6.csv", "profile_c0.6000001.csv"]
+        from gradwave import read_csv
+        from gradwave.potential import scalar_cubic as _sc
+
+        assert len(results) == 2
+        for path, res in zip(paths, results):
+            prof = read_csv(path, _sc(0.6))
+            assert np.array_equal(prof.grid.nodes, res.profile.grid.nodes)
+            assert np.array_equal(prof.values, res.profile.values)
+
+
 class TestSpeedCommand:
     def test_full_run(self, tmp_path):
         out = tmp_path / "out"
@@ -395,6 +439,44 @@ directory = {out}
         assert main(["verify", "--config", cfg, "--profile", str(path)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["verify"]["decay_rate"]["pass"] is False
+
+
+    VERIFY_CONFIG = """
+[potential]
+variant = scalar_cubic
+alpha = 0.6
+
+[mode]
+c = 0.6
+
+[output]
+directory = {out}
+"""
+
+    def test_missing_profile_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        missing = tmp_path / "nope.csv"
+        assert main(["verify", "--config", cfg, "--profile", str(missing)]) == 1
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_non_numeric_field_exits_2(self, tmp_path, scalar_spec, capsys):
+        path = self._write_wave_csv(tmp_path, scalar_spec)
+        lines = path.read_text().split("\n")
+        fields = lines[3].split(",")
+        fields[1] = "abc"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "column 'u1'" in err and "'abc'" in err
+
+    def test_empty_profile_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
+        assert "header mismatch" in capsys.readouterr().err
 
 
 class TestPotentialAnalysedOnce:

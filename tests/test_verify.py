@@ -1,12 +1,19 @@
 """Certification checks: residual identities, decay rates, tails, shooting."""
 
+import dataclasses
+import io
+import tokenize
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradwave import (
     FunctionalParams,
     Grid,
     MinimizeOptions,
+    PotentialSpec,
     Profile,
     ShootingDivergenceError,
     TailError,
@@ -268,6 +275,133 @@ class TestShooting:
             ref_xs, ref_ys = _rk4_backward_reference(*args)
             assert np.array_equal(xs, ref_xs)
             assert np.array_equal(ys, ref_ys)
+
+
+def _assert_same_trajectory(args):
+    """Run the compiled stepper and the numpy reference; demand equal bits."""
+    xs, ys = verify._rk4_backward(*args)
+    ref_xs, ref_ys = _rk4_backward_reference(*args)
+    for got, ref in ((xs, ref_xs), (ys, ref_ys)):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+        # signed zeros and NaN positions too
+        assert np.array_equal(np.signbit(got) | np.isnan(got), np.signbit(ref) | np.isnan(ref))
+    return xs, ys
+
+
+def _gradient_spec(grad, box=(-2.0, 2.0)):
+    """A one-component spec given by its gradient; only the shooting uses it."""
+    return PotentialSpec(
+        dim=1, well_b=np.ones(1), value=lambda u: np.zeros(np.shape(u)[:-1]),
+        gradient=grad, hessian=lambda u: np.zeros(np.shape(u) + (1,)),
+        bounding_box=np.array([box]))
+
+
+@st.composite
+def shooting_cases(draw):
+    """A random user_polynomial and shooting arguments for it, dims 1-5."""
+    dim = draw(st.integers(1, 5))
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(coeff, st.lists(st.integers(0, 4), min_size=dim,
+                                                     max_size=dim)),
+                          min_size=1, max_size=8))
+    spec = user_polynomial(dim, terms, [1.0] * dim, [[-2.0, 2.0]] * dim)
+    y0 = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=2 * dim, max_size=2 * dim)))
+    c = draw(st.floats(0.0, 2.0))
+    step = draw(st.floats(0.005, 0.1))
+    x_start = draw(st.floats(-5.0, 5.0))
+    x_stop = x_start - draw(st.floats(-0.5, 3.0))
+    lo = np.array(draw(st.lists(st.floats(-4.0, -1.6), min_size=dim, max_size=dim)))
+    hi = np.array(draw(st.lists(st.floats(1.6, 4.0), min_size=dim, max_size=dim)))
+    return spec, c, x_start, y0, step, x_stop, lo, hi
+
+
+class TestCompiledStepper:
+    @settings(max_examples=120, deadline=None)
+    @given(args=shooting_cases())
+    def test_matches_reference_on_random_polynomials(self, args):
+        _assert_same_trajectory(args)
+
+    def test_infinite_gradient_stops_on_finiteness(self):
+        # an unbounded box leaves the finiteness test as the only exit
+        spec = _gradient_spec(lambda u: np.where(u < 0.5, np.inf, 0.0),
+                              box=(-np.inf, np.inf))
+        xs, ys = _assert_same_trajectory(
+            (spec, 0.6, 0.0, np.array([1.0, 1.0]), 0.01, -5.0, [-np.inf], [np.inf]))
+        assert xs.size - 1 < 500
+        assert not np.all(np.isfinite(ys[-1])) and np.all(np.isfinite(ys[-2]))
+
+    def test_nan_gradient_stops_inside_the_box(self):
+        # NaN positions pass both box comparisons; the finiteness test stops them
+        spec = _gradient_spec(lambda u: np.full_like(u, np.nan))
+        xs, ys = _assert_same_trajectory(
+            (spec, 0.6, 0.0, np.array([1.0, 1.0]), 0.01, -5.0, [-2.0], [2.0]))
+        assert xs.size == 2
+        assert np.all(np.isnan(ys[-1]))
+
+    @pytest.mark.parametrize("v0, exits", [(1.0, "below"), (-1.0, "above")])
+    def test_box_exit_keeps_the_exiting_step(self, v0, exits):
+        # free motion: leftward steps move the position by -v per unit x
+        spec = _gradient_spec(lambda u: np.zeros_like(u))
+        xs, ys = _assert_same_trajectory(
+            (spec, 0.6, 0.0, np.array([1.0, v0]), 0.05, -10.0, [0.0], [2.0]))
+        assert xs.size - 1 < 200
+        assert (ys[-1, 0] < 0.0) if exits == "below" else (ys[-1, 0] > 2.0)
+        assert 0.0 <= ys[-2, 0] <= 2.0
+
+    def test_position_on_the_box_edge_stays_in(self):
+        # c = 0 and no force keep v = 1 exactly; the position steps 1, 0.75, ..., 0.0
+        # onto the lower edge, which is inside: the exit is the step after
+        spec = _gradient_spec(lambda u: np.zeros_like(u))
+        xs, ys = _assert_same_trajectory(
+            (spec, 0.0, 0.0, np.array([1.0, 1.0]), 0.25, -10.0, [0.0], [2.0]))
+        assert ys[:, 0].tolist() == [1.0, 0.75, 0.5, 0.25, 0.0, -0.25]
+
+    @pytest.mark.parametrize("x_stop", [1.0, 1.5])
+    def test_target_not_left_of_start_takes_no_step(self, x_stop):
+        spec = _gradient_spec(lambda u: 2.0 * u)
+        y0 = np.array([0.5, -0.25])
+        xs, ys = _assert_same_trajectory((spec, 0.6, 1.0, y0, 0.01, x_stop, [-2.0], [2.0]))
+        assert xs.tolist() == [1.0]
+        assert ys.shape == (1, 2) and ys[0].tolist() == y0.tolist()
+
+    def test_step_that_does_not_divide_the_span(self):
+        spec = _gradient_spec(lambda u: 0.1 * u)
+        xs, _ = _assert_same_trajectory(
+            (spec, 0.6, 0.0, np.array([1.0, 0.1]), 0.3, -1.0, [-2.0], [2.0]))
+        # ceil(1.0 / 0.3) = 4 steps: the last overshoots the target
+        assert xs.size == 5 and xs[-1] < -1.0
+
+    def test_one_point_gradient_call_per_stage(self):
+        spec = user_polynomial(3, quartic_well_terms((0.6, 0.9, 1.2)), [1.0] * 3,
+                               [[-2.0, 2.0]] * 3)
+        counts = {"point": 0}
+        point_gradient = spec.point_gradient
+
+        def counting(p):
+            counts["point"] += 1
+            return point_gradient(p)
+
+        def forbidden(u):
+            raise AssertionError("the stepper called the numpy gradient")
+
+        counted = dataclasses.replace(spec, point_gradient=counting, gradient=forbidden)
+        y0 = np.array([1.0 - 1e-4, 1.0 - 2e-4, 1.0 - 3e-4, -1e-4, -2e-4, -3e-4])
+        xs, _ = verify._rk4_backward(counted, 1.2, 10.0, y0, 0.005, -10.0,
+                                     [-6.0] * 3, [6.0] * 3)
+        assert xs.size - 1 > 100
+        assert counts["point"] == 4 * (xs.size - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_source_has_no_float_literal(self, n):
+        source = verify._stepper_source(n)
+        numbers = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                   if tok.type == tokenize.NUMBER]
+        assert numbers and all(text.isdigit() for text in numbers)
+
+    def test_compiled_once_per_dimension(self):
+        assert verify._stepper(2) is verify._stepper(2)
+        assert verify._stepper(2) is not verify._stepper(3)
 
 
 class TestRunVerify:
