@@ -32,7 +32,7 @@ from .verify import run_verify
 # benchmark change drops them (ROADMAP item 1).
 from .potential import find_equilibria, validate_spec  # noqa: F401
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):

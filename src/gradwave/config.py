@@ -42,8 +42,6 @@ class RunConfig:
     opt_tol: float
     penalty_kappa: float
     max_iters: int
-    restarts: int
-    seed: int
     feas_tol: float
     c: float | None
     c_list: list | None
@@ -56,8 +54,6 @@ class RunConfig:
         return MinimizeOptions(
             opt_tol=self.opt_tol,
             max_iters=self.max_iters,
-            restarts=self.restarts,
-            seed=self.seed,
             feas_tol=self.feas_tol,
         )
 
@@ -194,8 +190,11 @@ def load_config(path) -> RunConfig:
     opt_tol = _get_float(cp, "solver", "opt_tol", default=1e-8, positive=True)
     penalty_kappa = _get_float(cp, "solver", "penalty_kappa", default=1e3, nonnegative=True)
     max_iters = _get_int(cp, "solver", "max_iters", default=200_000, positive=True)
-    restarts = _get_int(cp, "solver", "restarts", default=3, nonnegative=True)
-    seed = _get_int(cp, "solver", "seed", default=0, nonnegative=True)
+    # the benchmark inputs still write restarts and seed (ROADMAP item 1):
+    # restarts is accepted only as 0, seed is checked and otherwise unused
+    if _get_int(cp, "solver", "restarts", default=0) != 0:
+        raise ConfigError("solver.restarts: random restarts were removed; only 0 is accepted")
+    _get_int(cp, "solver", "seed", nonnegative=True)
     feas_tol = _get_float(cp, "solver", "feas_tol", default=1e-8, positive=True)
 
     c = _get_float(cp, "mode", "c", positive=True)
@@ -219,7 +218,7 @@ def load_config(path) -> RunConfig:
         well_b=well_b, box=box,
         x_left=x_left, x_right=x_right, h=h, refinement=refinement,
         opt_tol=opt_tol, penalty_kappa=penalty_kappa, max_iters=max_iters,
-        restarts=restarts, seed=seed, feas_tol=feas_tol,
+        feas_tol=feas_tol,
         c=c, c_list=c_list, c_tol=c_tol,
         directory=directory, report=report, raw=raw,
     )

@@ -34,21 +34,15 @@ from .functional import cell_weights  # noqa: F401
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Stopping tolerances and line-search constants for the descent loop."""
+    """Stopping tolerances and the feasibility bar for the descent loop."""
 
     opt_tol: float = 1e-8
     max_iters: int = 200_000
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    restarts: int = 3
-    seed: int = 0
     feas_tol: float = 1e-8
 
     def __post_init__(self):
         if not (self.opt_tol > 0 and self.max_iters > 0):
             raise ContractViolationError("opt_tol and max_iters must be positive")
-        if not (0 < self.armijo_c1 < 1 and 0 < self.armijo_shrink < 1):
-            raise ContractViolationError("Armijo constants must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,8 @@ class GammaResult:
     iterations: int
     bounds: BoundsReport
     converged: bool
-    multistart_spread: float = 0.0
-    multistart_warning: bool = False
+    # not a field: read by perfbench/layertrace.py until the next benchmark change
+    multistart_warning = False
 
     def as_dict(self) -> dict:
         return {
@@ -74,8 +68,6 @@ class GammaResult:
             "feasibility_violation": self.feasibility_violation,
             "iterations": self.iterations,
             "converged": self.converged,
-            "multistart_spread": self.multistart_spread,
-            "multistart_warning": self.multistart_warning,
             "bounds": self.bounds.as_dict(),
         }
 
@@ -93,6 +85,9 @@ _PLATEAU_F_GAIN = 3e-11
 _SHIFT_FIRST = 1e-2
 _SHIFT_GROWTH = 4.0
 _SHIFT_MAX = 1e12
+# Armijo sufficient-decrease constant and backtracking factor
+_ARMIJO_C1 = 1e-4
+_ARMIJO_SHRINK = 0.5
 # Newton steps each seed of a race takes before the best one is minimized;
 # run longer, a seed from the wrong well can settle on a local minimum that
 # keeps an extra front where the weight is negligible
@@ -276,14 +271,14 @@ def _descent(spec, params, grid, values0, opts):
                 if abs(float(spec.value(q))) > 1e-10:
                     trial[iz] = project_to_zero_set(spec, np.clip(q, lo, hi))
             except WaveSolverError:
-                t *= opts.armijo_shrink
+                t *= _ARMIJO_SHRINK
                 continue
             J_t, P_t, w_t = op.value(trial)
-            if J_t + P_t <= F - opts.armijo_c1 * t * slope:
+            if J_t + P_t <= F - _ARMIJO_C1 * t * slope:
                 u, J, P, w, F = trial, J_t, P_t, w_t, J_t + P_t
                 accepted = True
                 break
-            t *= opts.armijo_shrink
+            t *= _ARMIJO_SHRINK
         if not accepted:
             converged = pg_norm <= _FLOOR_PG_CAP
             break
@@ -297,30 +292,6 @@ def _descent(spec, params, grid, values0, opts):
     return u, J, op.violation(w), pg_norm, iterations, converged
 
 
-def _perturbed(rng, grid, values, well_b, scale):
-    """Smooth random perturbation concentrated around the transition at 0.
-
-    The envelope decays away from 0 so that no remnant is left in the far
-    tails, where the exponential weight is too small for the descent to
-    erase anything.
-    """
-    x = grid.nodes
-    L = x[-1] - x[0]
-    s = (x - x[0]) / L
-    width = min(10.0, 0.2 * L)
-    envelope = np.exp(-((x / width) ** 2))
-    pert = np.zeros_like(values)
-    for k in range(1, 4):
-        amp = scale / k
-        for j in range(values.shape[1]):
-            pert[:, j] += amp * (
-                rng.normal() * np.sin(np.pi * k * s) + rng.normal() * np.cos(np.pi * k * s)
-            )
-    out = values + envelope[:, None] * pert
-    out[-1] = well_b
-    return out
-
-
 def minimize_profile(
     spec: PotentialSpec,
     consts: PotentialConstants,
@@ -331,57 +302,26 @@ def minimize_profile(
 ) -> GammaResult:
     """Minimize the weighted energy from a starting profile.
 
-    Runs the descent from the recentered start plus ``opts.restarts``
-    randomized perturbations of it, and keeps the best feasible minimizer.
-    The reported gamma excludes the penalty term.
+    Recentres the start on the constraint crossing and runs one descent
+    from it.  Raises InfeasibleMinimizerError when the minimizer violates
+    the sign constraint by more than ``opts.feas_tol``.  The reported gamma
+    excludes the penalty term.
     """
-    base = translate_to_crossing(spec, init)
-    rng = np.random.default_rng(opts.seed)
-    scale = 0.05 * float(np.linalg.norm(np.asarray(spec.well_b) - consts.point_a))
-
-    starts = [base.values]
-    for _ in range(max(0, opts.restarts)):
-        pert = _perturbed(rng, grid, base.values, base.well_b, scale)
-        try:
-            prof = translate_to_crossing(spec, Profile(grid=grid, values=pert, well_b=base.well_b))
-        except WaveSolverError:
-            continue
-        starts.append(prof.values)
-
-    runs = []
-    total_iters = 0
-    for v0 in starts:
-        u, J, viol, pg, iters, conv = _descent(spec, params, grid, v0, opts)
-        total_iters += iters
-        runs.append((J, viol, u, pg, conv))
-
-    feasible = [r for r in runs if r[1] <= opts.feas_tol]
-    pool = feasible if feasible else runs
-    best = min(pool, key=lambda r: r[0])
-    # prefer the unperturbed run unless a restart wins by a meaningful margin
-    base_run = runs[0]
-    if any(base_run is r for r in pool) and base_run[0] <= best[0] + 1e-9 * (1.0 + abs(best[0])):
-        best = base_run
-    gammas = [r[0] for r in runs if r[1] <= opts.feas_tol] or [best[0]]
-    spread = float(max(gammas) - min(gammas))
-
-    J_best, viol, u_best, pg, conv = best
+    start = translate_to_crossing(spec, init).values
+    u, J, viol, pg, iters, conv = _descent(spec, params, grid, start, opts)
     if viol > opts.feas_tol:
         raise InfeasibleMinimizerError(
             f"feasibility violation {viol:.3g} exceeds tolerance {opts.feas_tol:g} at c={params.c}"
         )
-    profile = Profile(grid=grid, values=u_best, well_b=np.asarray(spec.well_b, dtype=float))
     return GammaResult(
         c=params.c,
-        gamma=float(J_best),
-        profile=profile,
+        gamma=float(J),
+        profile=Profile(grid=grid, values=u, well_b=np.asarray(spec.well_b, dtype=float)),
         grad_norm=pg,
         feasibility_violation=viol,
-        iterations=total_iters,
+        iterations=iters,
         bounds=compute_bounds(spec, consts, params.c),
         converged=conv,
-        multistart_spread=spread,
-        multistart_warning=spread > 1e-4,
     )
 
 
@@ -407,7 +347,7 @@ def minimize_from_seeds(
     if len(seeds) == 1:
         return minimize_profile(spec, consts, params, grid, seeds[0], opts)
 
-    budget_opts = replace(opts, max_iters=_RACE_BUDGET, restarts=0)
+    budget_opts = replace(opts, max_iters=_RACE_BUDGET)
     scored = []
     race_iters = 0
     for init in seeds:

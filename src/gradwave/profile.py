@@ -316,7 +316,7 @@ def read_csv(path, spec: PotentialSpec) -> Profile:
                 f"profile CSV header mismatch at column '{bad}': "
                 f"expected {expected}, got {header}"
             )
-        xs, vals = [], []
+        rows, lines = [], []
         for row in rd:
             if not row:
                 continue
@@ -324,17 +324,19 @@ def read_csv(path, spec: PotentialSpec) -> Profile:
                 raise ContractViolationError(
                     f"profile CSV row has {len(row)} fields, expected {len(expected)}"
                 )
-            try:
-                xs.append(float(row[0]))
-                vals.append([float(v) for v in row[1 : 1 + spec.dim]])
-            except ValueError:
-                col = next(k for k in range(1 + spec.dim) if not _is_float(row[k]))
-                raise ContractViolationError(
-                    f"profile CSV line {rd.line_num}, column '{expected[col]}': "
-                    f"{row[col]!r} is not a number"
-                ) from None
-    grid = Grid(nodes=np.array(xs))
-    values = np.array(vals)
+            rows.append(row)
+            lines.append(rd.line_num)
+    try:
+        # numpy parses each field as float() does, so every column is checked
+        table = np.array(rows, dtype=float).reshape(-1, len(expected))
+    except ValueError:
+        line, row, col = next((line, row, k) for line, row in zip(lines, rows)
+                              for k, v in enumerate(row) if not _is_float(v))
+        raise ContractViolationError(
+            f"profile CSV line {line}, column '{expected[col]}': {row[col]!r} is not a number"
+        ) from None
+    grid = Grid(nodes=table[:, 0].copy())
+    values = table[:, 1 : 1 + spec.dim].copy()
     if not np.array_equal(values[-1], spec.well_b):
         # tolerate a right end written from a projected profile
         if np.linalg.norm(values[-1] - spec.well_b) > 1e-9:

@@ -174,7 +174,7 @@ def find_speed(
     evaluated: dict[float, GammaResult] = {}
     solved_cold: set[float] = set()
     probes: list[tuple[float, float]] = []
-    probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL), restarts=0)
+    probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL))
     wells = seed_points(spec, consts)
 
     def probe(c: float, warm_from: Profile | None) -> float:
@@ -298,8 +298,8 @@ def gamma_curve(
     """Minimum energy along an increasing list of speeds.
 
     The first speed is solved cold from every well; each later one is
-    warm-started from the previous minimizer without restarts, which is
-    what makes the sweep fast.  Each result lives on its speed's sub-grid.
+    warm-started from the previous minimizer, which is what makes the sweep
+    fast.  Each result lives on its speed's sub-grid.
     """
     c_arr = [float(c) for c in c_list]
     if len(c_arr) == 0:
@@ -310,9 +310,8 @@ def gamma_curve(
         raise ContractViolationError("c_list must be strictly increasing")
 
     wells = seed_points(spec, consts)
-    warm_opts = replace(opts, restarts=0)
     results = [gamma_at(spec, consts, grid, c_arr[0], opts, wells, penalty_kappa=penalty_kappa)]
     for c in c_arr[1:]:
-        results.append(gamma_at(spec, consts, grid, c, warm_opts, wells,
+        results.append(gamma_at(spec, consts, grid, c, opts, wells,
                                 results[-1].profile, penalty_kappa))
     return results

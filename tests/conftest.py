@@ -78,10 +78,10 @@ def decoupled_consts(decoupled_spec):
     return compute_constants(decoupled_spec)
 
 
-def timed_find_speed(spec, consts, c_tol=1e-3, h=0.01, restarts=2, seed=0):
+def timed_find_speed(spec, consts, c_tol=1e-3, h=0.01):
     bounds = compute_bounds(spec, consts, 1.0)
     grid = make_grid(consts, bounds.bracket_lo, h=h)
-    opts = MinimizeOptions(restarts=restarts, seed=seed)
+    opts = MinimizeOptions()
     t0 = time.monotonic()
     res = find_speed(spec, consts, grid, opts, c_tol)
     elapsed = time.monotonic() - t0
@@ -102,7 +102,7 @@ def decoupled_speed(decoupled_spec, decoupled_consts):
 def scalar_curve(scalar_spec, scalar_consts):
     """Minimum-energy sweep across the root, warm-started."""
     grid = make_grid(scalar_consts, 0.3)
-    opts = MinimizeOptions(opt_tol=1e-6, restarts=0)
+    opts = MinimizeOptions(opt_tol=1e-6)
     c_list = [0.3, 0.45, 0.6, 0.8, 1.0]
     return c_list, gamma_curve(scalar_spec, scalar_consts, grid, c_list, opts), grid
 

@@ -23,6 +23,7 @@ from gradwave import (
     write_csv,
 )
 from gradwave.cli import main
+from gradwave.config import load_config
 from conftest import X0_TANH
 
 SCALAR_SPEED_CONFIG = """
@@ -35,8 +36,6 @@ h = 0.02
 
 [solver]
 opt_tol = 1e-6
-restarts = 1
-seed = 0
 
 [mode]
 c_tol = 5e-3
@@ -98,6 +97,39 @@ alpha = 0.6
 """)
         assert main(["gamma", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("restarts, seed, message", [
+        ("0", "5", None),
+        ("3", "0", "solver.restarts: random restarts were removed; only 0 is accepted"),
+        ("0", "-1", "solver.seed: must be nonnegative"),
+    ])
+    def test_restarts_and_seed_kept_for_old_inputs(self, tmp_path, capsys,
+                                                     restarts, seed, message):
+        cfg = write_config(tmp_path, f"""
+[potential]
+variant = scalar_cubic
+alpha = 0.6
+
+[solver]
+restarts = {restarts}
+seed = {seed}
+
+[output]
+directory = {tmp_path / "out"}
+""")
+        assert main(["bounds", "--config", cfg]) == (1 if message else 0)
+        if message:
+            assert message in capsys.readouterr().err
+
+
+def test_readme_config_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in readme.split("```ini\n")[1:]]
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme{k}.ini"
+        path.write_text(block)
+        load_config(path)
+
 
 class TestBoundsCommand:
     def test_decoupled_report(self, tmp_path):
@@ -113,7 +145,7 @@ directory = {out}
 """)
         assert main(["bounds", "--config", cfg]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["constants"]["m"] == pytest.approx(2.4, abs=1e-6)
         assert report["constants"]["mu"] == pytest.approx(1.6, abs=1e-9)
         lo, hi = report["result"]["bracket"]
@@ -196,7 +228,6 @@ h = 0.02
 
 [solver]
 opt_tol = 1e-6
-restarts = 0
 
 [mode]
 c_list = 0.3, 0.6, 1.0
@@ -236,7 +267,6 @@ h = 0.05
 
 [solver]
 opt_tol = 1e-5
-restarts = 0
 
 [mode]
 c_list = 0.4, 0.9
@@ -273,7 +303,6 @@ h = 0.05
 
 [solver]
 opt_tol = 1e-5
-restarts = 0
 
 [mode]
 c_list = 0.6, 0.6000001
@@ -470,6 +499,21 @@ directory = {out}
         assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "column 'u1'" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("col, name", [(-2, "W"), (-1, "du_norm")])
+    def test_non_numeric_derived_column_exits_2(self, tmp_path, scalar_spec, capsys,
+                                                col, name):
+        # every field must parse, not only those read into the profile
+        path = self._write_wave_csv(tmp_path, scalar_spec)
+        lines = path.read_text().split("\n")
+        fields = lines[5].split(",")
+        fields[col] = "abc"
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and f"column '{name}'" in err and "'abc'" in err
 
     def test_empty_profile_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

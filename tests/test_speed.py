@@ -78,10 +78,10 @@ POLY_C_TOL = 1e-3
 
 
 def poly_speed(spec, h):
-    """``find_speed`` at ``POLY_C_TOL`` without restarts, and whether the wave verifies."""
+    """``find_speed`` at ``POLY_C_TOL``, and whether the wave verifies."""
     consts = compute_constants(spec)
     grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=h)
-    res = find_speed(spec, consts, grid, MinimizeOptions(restarts=0), POLY_C_TOL)
+    res = find_speed(spec, consts, grid, MinimizeOptions(), POLY_C_TOL)
     return res.c_star, run_verify(spec, consts, res.c_star, res.profile,
                                   res.gamma_at_c_star).passed
 
@@ -118,7 +118,7 @@ class TestWaveAtSpeed:
     def test_scalar_wave_has_continuous_slope(self, scalar_spec, scalar_consts):
         grid = make_grid(scalar_consts, 0.6, h=0.01)
         prof = wave_at_speed(scalar_spec, scalar_consts, grid, 0.6,
-                             MinimizeOptions(opt_tol=1e-6, restarts=0))
+                             MinimizeOptions(opt_tol=1e-6))
         der = derivative(prof)
         assert float(np.linalg.norm(der.right_at_zero - der.left_at_zero)) <= 5e-3
 
@@ -126,7 +126,7 @@ class TestWaveAtSpeed:
         grid = make_grid(scalar_consts, 0.9, h=0.02)
         with pytest.raises(NotAWaveError):
             wave_at_speed(scalar_spec, scalar_consts, grid, 0.9,
-                          MinimizeOptions(opt_tol=1e-5, restarts=0))
+                          MinimizeOptions(opt_tol=1e-5))
 
 
 class TestSubgrid:
@@ -164,7 +164,7 @@ class TestGammaCurve:
 
     def test_first_point_is_cold_gamma_at(self, scalar_curve, scalar_spec, scalar_consts):
         c_list, curve, grid = scalar_curve
-        opts = MinimizeOptions(opt_tol=1e-6, restarts=0)
+        opts = MinimizeOptions(opt_tol=1e-6)
         cold = gamma_at(scalar_spec, scalar_consts, grid, c_list[0], opts,
                         seed_points(scalar_spec, scalar_consts))
         assert cold.gamma == curve[0].gamma
@@ -189,7 +189,7 @@ def logged_find_speed(spec, consts, alter=None):
     grid = make_grid(consts, bounds.bracket_lo, h=0.02)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(speed, "gamma_at", logged)
-        res = find_speed(spec, consts, grid, MinimizeOptions(restarts=0), 1e-3)
+        res = find_speed(spec, consts, grid, MinimizeOptions(), 1e-3)
     return res, calls, bounds
 
 
@@ -278,7 +278,7 @@ def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeyp
     assert len(wells) == 3
     grid = make_grid(decoupled_consts, 1.0, h=0.05)
     res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5,
-                   MinimizeOptions(opt_tol=1e-5, restarts=0), wells)
+                   MinimizeOptions(opt_tol=1e-5), wells)
     race = [iters for cap, iters in runs if cap == minimize._RACE_BUDGET]
     assert len(race) == 3
     assert res.iterations >= sum(race)
@@ -292,7 +292,7 @@ def test_short_race_picks_the_wave(decoupled_spec, decoupled_consts):
     bounds = compute_bounds(decoupled_spec, decoupled_consts, 1.0)
     grid = make_grid(decoupled_consts, bounds.bracket_lo, h=0.02)
     c = 1.2003735488958043
-    res = gamma_at(decoupled_spec, decoupled_consts, grid, c, MinimizeOptions(restarts=0),
+    res = gamma_at(decoupled_spec, decoupled_consts, grid, c, MinimizeOptions(),
                    seed_points(decoupled_spec, decoupled_consts))
     np.testing.assert_allclose(res.profile.values[0], [1.0, -1.0], rtol=0, atol=1e-3)
     assert run_verify(decoupled_spec, decoupled_consts, c, res.profile, res.gamma).passed

@@ -82,7 +82,7 @@ def wrong_speed_profile(scalar_spec, scalar_consts):
     init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
     res = minimize_profile(
         scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
-        MinimizeOptions(opt_tol=1e-6, restarts=0),
+        MinimizeOptions(opt_tol=1e-6),
     )
     return res.profile
 
