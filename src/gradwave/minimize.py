@@ -3,16 +3,20 @@
 The minimizer is a projected Newton method with Armijo backtracking from
 the full step.  The Hessian of the discrete energy is block tridiagonal, so
 flattened node by node it is a band matrix of half-bandwidth 2 dim - 1, and
-a step costs one band Cholesky factorisation and solve.  At the node pinned
-at 0 the Hessian of the Lagrangian is restricted to the tangent space of
-the zero level set; after every step that node is projected back onto the
-level set, and the profile is recentered if the constraint crossing drifts.
-Where the Hessian is indefinite, as it can be far from a minimizer, it is
-shifted by a growing multiple of the lumped mass until the factorisation
-succeeds.  Convergence is judged by the norm of the gradient's Riesz
-representative in the weighted H^1 inner product (a tridiagonal solve),
-which does not degrade as the grid is refined.  A race between seeds gives
-each a few Newton steps and minimizes only the best.
+a step costs one band Cholesky factorisation and solve.  The factorisation
+calls LAPACK ``dpbtrf`` bare: it is the routine
+``scipy.linalg.cholesky_banded`` wraps, so the factors are the same bits,
+without the wrapper's per-call checks; only the finiteness check is kept,
+once per step.  At the node pinned at 0 the Hessian of the Lagrangian is
+restricted to the tangent space of the zero level set; after every step
+that node is projected back onto the level set, and the profile is
+recentered if the constraint crossing drifts.  Where the Hessian is
+indefinite, as it can be far from a minimizer, it is shifted by a growing
+multiple of the lumped mass until the factorisation succeeds.  Convergence
+is judged by the norm of the gradient's Riesz representative in the
+weighted H^1 inner product (a tridiagonal solve), which does not degrade
+as the grid is refined.  A race between seeds gives each a few Newton steps
+and minimizes only the best.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
 from .errors import ContractViolationError, InfeasibleMinimizerError, WaveSolverError
 from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds
@@ -121,7 +125,7 @@ def _band_hessian(op: WeightedEnergy, u, w, dw, g_iz):
 
     Node-major order, so node i's component k is unknown i * dim + k and the
     half-bandwidth is 2 dim - 1; row r of the result holds the r-th
-    subdiagonal (``scipy.linalg.cholesky_banded`` with ``lower=True``).  The
+    subdiagonal (LAPACK ``dpbtrf`` with ``lower=1``).  The
     right node is fixed and dropped.  At the node pinned at 0 the block is
     the Hessian of the Lagrangian, restricted to the tangent space of the
     zero level set: with normal n = DW, multiplier lam = g_iz . n / |n|^2 and
@@ -173,9 +177,11 @@ def _band_hessian(op: WeightedEnergy, u, w, dw, g_iz):
 def _newton_direction(op: WeightedEnergy, ab, g):
     """Solve the band Hessian system for g, shifting it until it is positive definite.
 
-    Returns None when no shift up to ``_SHIFT_MAX`` makes the factorisation
-    succeed, which takes a non-finite Hessian.
+    Returns None for a non-finite Hessian, and when no shift up to
+    ``_SHIFT_MAX`` makes the factorisation succeed.
     """
+    if not np.isfinite(ab).all():
+        return None
     shift = op.lump[:-1].ravel()
     sigma = 0.0
     while sigma <= _SHIFT_MAX:
@@ -183,9 +189,8 @@ def _newton_direction(op: WeightedEnergy, ab, g):
         if sigma > 0.0:
             shifted = ab.copy()
             shifted[0] += sigma * shift
-        try:
-            factor = cholesky_banded(shifted, lower=True)
-        except (np.linalg.LinAlgError, ValueError):
+        factor, info = dpbtrf(shifted, lower=1)
+        if info != 0:
             sigma = _SHIFT_FIRST if sigma == 0.0 else sigma * _SHIFT_GROWTH
             continue
         d = np.zeros_like(g)

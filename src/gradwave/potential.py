@@ -64,9 +64,9 @@ class PotentialSpec:
     must agree with ``value`` to roundoff, not bit for bit.  Left unset, it
     is derived from ``value``: one call on every grid point, stacked into
     rows.  ``user_polynomial`` supplies a contraction of its term table (see
-    ``_Monomials.grid``); a ``dataclasses.replace`` with a new ``value``
-    keeps the old grid kernel, and the assumption checks reject the
-    mismatch.
+    ``_Monomials.grid``) and ``decoupled_quartic`` the outer sum of its two
+    wells; a ``dataclasses.replace`` with a new ``value`` keeps the old grid
+    kernel, and the assumption checks reject the mismatch.
     """
 
     dim: int
@@ -220,6 +220,12 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
         out[..., 1, 1] = _quartic_well_d2(u[..., 1], beta)
         return out
 
+    def grid_value(axes):
+        # separable: the outer sum does the float operations of ``value`` at
+        # every grid point, without building the rows of points
+        return np.add.outer(_quartic_well(np.asarray(axes[0], dtype=float), alpha),
+                            _quartic_well(np.asarray(axes[1], dtype=float), beta))
+
     return PotentialSpec(
         dim=2,
         well_b=np.array([1.0, 1.0]),
@@ -230,6 +236,7 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
         variant="decoupled_quartic",
         params=(alpha, beta),
         point_gradient=lambda p: [_quartic_well_d1(p[0], alpha), _quartic_well_d1(p[1], beta)],
+        grid_value=grid_value,
     )
 
 

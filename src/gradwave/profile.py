@@ -272,6 +272,19 @@ def translate_to_crossing(spec: PotentialSpec, profile: Profile) -> Profile:
 
 # rows formatted per write: joining the whole file at once raises peak memory
 _CSV_CHUNK = 512
+# read_csv accepts a W column within _CSV_W_TOL (1 + |W(u)|) of W(u), which
+# admits another roundoff of the same formula, and a du_norm column within
+# _CSV_DU_TOL (1 + max |u'|) of |u'| from ``derivative``, which admits an
+# exact derivative: the stencil is off from it by O(h^2), 1.3e-4 for a tanh
+# front at h = 0.02.  Files this module writes match both exactly.
+_CSV_W_TOL = 1e-9
+_CSV_DU_TOL = 1e-2
+
+
+def _derived_columns(profile: Profile, spec: PotentialSpec):
+    """The CSV's W and du_norm columns: W(u) and |u'| per node."""
+    du = derivative(profile).values
+    return spec.value(profile.values), np.sqrt(np.sum(du * du, axis=1))
 
 
 def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
@@ -282,9 +295,7 @@ def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
     than the whole table's arithmetic.  The bytes are those a ``csv.writer``
     writes from the same strings.
     """
-    w = spec.value(profile.values)
-    du = derivative(profile).values
-    du_norm = np.sqrt(np.sum(du * du, axis=1))
+    w, du_norm = _derived_columns(profile, spec)
     table = np.column_stack([profile.grid.nodes, profile.values, w, du_norm])
     header = ["x"] + [f"u{k + 1}" for k in range(profile.dim)] + ["W", "du_norm"]
     row = ",".join(["%r"] * len(header)) + "\r\n"
@@ -304,6 +315,12 @@ def _is_float(text: str) -> bool:
 
 
 def read_csv(path, spec: PotentialSpec) -> Profile:
+    """Read a profile CSV, checking every field and the derived columns.
+
+    Raises ContractViolationError, naming the line and column, for a field
+    that is not a number, and for a W or du_norm entry that disagrees with
+    the profile beyond ``_CSV_W_TOL`` or ``_CSV_DU_TOL``.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, [])
@@ -342,4 +359,16 @@ def read_csv(path, spec: PotentialSpec) -> Profile:
         if np.linalg.norm(values[-1] - spec.well_b) > 1e-9:
             raise ContractViolationError("profile CSV does not end at the reference well")
         values[-1] = spec.well_b
-    return Profile(grid=grid, values=values, well_b=np.asarray(spec.well_b, dtype=float))
+    profile = Profile(grid=grid, values=values, well_b=np.asarray(spec.well_b, dtype=float))
+    w, du_norm = _derived_columns(profile, spec)
+    du_tol = _CSV_DU_TOL * (1.0 + du_norm.max())
+    for col, want, tol in ((-2, w, _CSV_W_TOL * (1.0 + np.abs(w))),
+                           (-1, du_norm, np.full_like(du_norm, du_tol))):
+        bad = np.flatnonzero(~(np.abs(table[:, col] - want) <= tol))
+        if bad.size:
+            i = int(bad[0])
+            raise ContractViolationError(
+                f"profile CSV line {lines[i]}, column '{expected[col]}': {rows[i][col]!r} "
+                f"differs from {want[i]!r}, computed from the profile, by more than {tol[i]:.2g}"
+            )
+    return profile

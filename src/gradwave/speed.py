@@ -7,8 +7,11 @@ estimates carry optimization noise and only their signs are trusted.
 
 ``gamma_at`` computes the minimum energy at one speed; the bisection
 probes and final solve of ``find_speed``, ``wave_at_speed`` and the sweep of
-``gamma_curve`` all go through it.  Two robustness rules shape it and its
-callers:
+``gamma_curve`` all go through it.  A cold solve starts from one segment
+profile per well; the segment's crossing of the zero set does not depend on
+the speed, so each of those three calls builds its seeds once on the whole
+grid (``well_seeds``) and every cold solve takes their slice on its own
+sub-grid.  Two robustness rules shape ``gamma_at`` and its callers:
 
 * it runs on a sub-range of the caller's grid sized for its own speed (left
   end at -40/c, right end at 40 over the tail decay rate), which keeps the
@@ -25,6 +28,10 @@ callers:
   seeding from each well is what makes the cold estimates reliable).  A
   cross-check that finds a negative minimum moves the lower end there and
   resumes the bisection.
+
+So once the bisection ends, the upper end of the bracket has a cold
+minimizer, within c_tol / 2 of the midpoint c*.  The final solve at c*
+starts from it, not from a new race; no sign depends on that solve.
 """
 
 from __future__ import annotations
@@ -112,12 +119,34 @@ def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndar
     return points
 
 
+def well_seeds(spec: PotentialSpec, consts: PotentialConstants, grid: Grid) -> list[Profile]:
+    """One segment profile per seed well on the whole grid, for one run's cold solves.
+
+    Each carries its well's segment crossing (the bisected segment parameter
+    and its projection onto the zero set), which does not depend on the
+    speed; a cold solve takes the slice of it on its own sub-grid.
+    """
+    return [segment_profile(spec, grid, p) for p in seed_points(spec, consts)]
+
+
 def cold_seeds(
-    spec: PotentialSpec, consts: PotentialConstants, grid: Grid, c: float, wells
+    consts: PotentialConstants, grid: Grid, c: float, seeds
 ) -> tuple[Grid, list[Profile]]:
-    """The sub-grid at c and one segment profile per point of ``wells`` on it."""
+    """The sub-grid at c and the slices on it of ``seeds``, the ``well_seeds`` of ``grid``.
+
+    Each slice, pinned to the well at its right end, equals bit for bit the
+    segment profile built on the sub-grid.
+    """
     sub = speed_subgrid(grid, consts, c)
-    return sub, [segment_profile(spec, sub, p) for p in wells]
+    lo = grid.index_zero - sub.index_zero
+    inits = []
+    for seed in seeds:
+        if not np.array_equal(seed.grid.nodes, grid.nodes):
+            raise ContractViolationError("cold seeds must lie on the grid they are sliced from")
+        vals = seed.values[lo:lo + sub.n_nodes].copy()
+        vals[-1] = seed.well_b
+        inits.append(Profile(grid=sub, values=vals, well_b=seed.well_b))
+    return sub, inits
 
 
 def gamma_at(
@@ -126,22 +155,23 @@ def gamma_at(
     grid: Grid,
     c: float,
     opts: MinimizeOptions,
-    wells,
+    seeds,
     warm_from: Profile | None = None,
     penalty_kappa: float = 1e3,
 ) -> GammaResult:
     """Minimum energy at c on speed_subgrid(grid, consts, c).
 
     Warm-started from ``warm_from`` (resampled onto the sub-grid) when given,
-    else raced cold from one segment profile per point of ``wells``.
+    else raced cold from the slices of ``seeds``, the ``well_seeds`` of
+    ``grid``, on the sub-grid.
     """
     params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
     if warm_from is not None:
         sub = speed_subgrid(grid, consts, c)
         init = transfer_profile(warm_from, sub, spec.well_b)
         return minimize_profile(spec, consts, params, sub, init, opts)
-    sub, seeds = cold_seeds(spec, consts, grid, c, wells)
-    return minimize_from_seeds(spec, consts, params, sub, seeds, opts)
+    sub, inits = cold_seeds(consts, grid, c, seeds)
+    return minimize_from_seeds(spec, consts, params, sub, inits, opts)
 
 
 def find_speed(
@@ -162,9 +192,9 @@ def find_speed(
     evaluated minimizer.  Once the bracket is narrower than ``c_tol``, its
     upper end is solved cold if it came from a warm probe; a negative cold
     result makes it the lower end, the next larger positive probe the upper
-    end, and the bisection resumes.  The returned profile is a cold-start
-    minimizer at the midpoint, living on the sub-range of the grid sized for
-    that speed.
+    end, and the bisection resumes.  The returned profile is the minimizer
+    at the midpoint, started from the cold minimizer at the final upper end
+    and living on the sub-range of the grid sized for that speed.
     """
     if not c_tol > 0:
         raise ContractViolationError("c_tol must be positive")
@@ -175,10 +205,10 @@ def find_speed(
     solved_cold: set[float] = set()
     probes: list[tuple[float, float]] = []
     probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL))
-    wells = seed_points(spec, consts)
+    seeds = well_seeds(spec, consts, grid)
 
     def probe(c: float, warm_from: Profile | None) -> float:
-        res = gamma_at(spec, consts, grid, c, probe_opts, wells, warm_from, penalty_kappa)
+        res = gamma_at(spec, consts, grid, c, probe_opts, seeds, warm_from, penalty_kappa)
         if warm_from is None:
             solved_cold.add(c)
         evaluated[c] = res
@@ -188,9 +218,9 @@ def find_speed(
     def lower_end(c: float) -> float:
         # any feasible profile bounds the minimum from above, so a cold seed
         # with negative energy settles the sign without a descent
-        sub, seeds = cold_seeds(spec, consts, grid, c, wells)
+        sub, inits = cold_seeds(consts, grid, c, seeds)
         op = WeightedEnergy(spec, FunctionalParams(c=c, penalty_kappa=penalty_kappa), sub)
-        for seed in seeds:
+        for seed in inits:
             J, _, w = op.value(translate_to_crossing(spec, seed).values)
             if J < 0 and op.violation(w) <= probe_opts.feas_tol:
                 probes.append((c, J))
@@ -252,8 +282,11 @@ def find_speed(
         g_hi = evaluated[c_hi].gamma
         history.append((c_lo, c_hi, g_lo, g_hi))
 
+    # c_hi is now solved cold and lies within c_tol / 2 of c_star: its
+    # minimizer starts the final solve, and no sign depends on that solve
     c_star = 0.5 * (c_lo + c_hi)
-    final = gamma_at(spec, consts, grid, c_star, opts, wells, None, penalty_kappa)
+    final = gamma_at(spec, consts, grid, c_star, opts, seeds, evaluated[c_hi].profile,
+                     penalty_kappa)
     return SpeedResult(
         c_star=c_star,
         gamma_at_c_star=final.gamma,
@@ -276,7 +309,7 @@ def wave_at_speed(
     Raises NotAWaveError when the converged minimum energy is not zero
     within tolerance; run find_speed first to locate the root speed.
     """
-    res = gamma_at(spec, consts, grid, c, opts, seed_points(spec, consts),
+    res = gamma_at(spec, consts, grid, c, opts, well_seeds(spec, consts, grid),
                    penalty_kappa=penalty_kappa)
     tol = gamma_zero_tol(consts, c)
     if abs(res.gamma) > tol:
@@ -309,9 +342,9 @@ def gamma_curve(
     if any(b <= a for a, b in zip(c_arr, c_arr[1:])):
         raise ContractViolationError("c_list must be strictly increasing")
 
-    wells = seed_points(spec, consts)
-    results = [gamma_at(spec, consts, grid, c_arr[0], opts, wells, penalty_kappa=penalty_kappa)]
+    seeds = well_seeds(spec, consts, grid)
+    results = [gamma_at(spec, consts, grid, c_arr[0], opts, seeds, penalty_kappa=penalty_kappa)]
     for c in c_arr[1:]:
-        results.append(gamma_at(spec, consts, grid, c, opts, wells,
+        results.append(gamma_at(spec, consts, grid, c, opts, seeds,
                                 results[-1].profile, penalty_kappa))
     return results

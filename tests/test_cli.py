@@ -515,6 +515,26 @@ directory = {out}
         err = capsys.readouterr().err
         assert "line 6" in err and f"column '{name}'" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("col, name, text", [(-2, "W", "12345.0"),
+                                                 (-1, "du_norm", "0.0")])
+    def test_wrong_derived_column_exits_2(self, tmp_path, scalar_spec, capsys,
+                                          col, name, text):
+        # W and du_norm must describe the profile, not only parse
+        path = self._write_wave_csv(tmp_path, scalar_spec)
+        lines = path.read_text().split("\n")
+        row = 5001  # the node at x = 0, where |u'| is near its largest
+        for i in range(1, len(lines) - 1):
+            if col == -2 or i == row:
+                fields = lines[i].split(",")
+                fields[col] = text
+                lines[i] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        line = 2 if col == -2 else row + 1
+        assert f"line {line}," in err and f"column '{name}'" in err and repr(text) in err
+
     def test_empty_profile_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -16,12 +16,13 @@ from gradwave import (
 )
 from gradwave.functional import WeightedEnergy, cell_weights
 from gradwave.minimize import (
-    _ARMIJO_C1, _ARMIJO_SHRINK, _band_hessian, _descent, _factor_preconditioner,
-    _newton_direction, _tangential,
+    _ARMIJO_C1, _ARMIJO_SHRINK, _SHIFT_FIRST, _SHIFT_GROWTH, _SHIFT_MAX, _band_hessian,
+    _descent, _factor_preconditioner, _newton_direction, _tangential,
 )
 from gradwave.potential import PROJ_TOL, project_to_zero_set
 from gradwave.profile import translate_to_crossing
 from gradwave.speed import speed_subgrid
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dpttrs
 from conftest import make_grid
 from test_functional import dip_profile
@@ -321,6 +322,64 @@ class TestBandHessian:
         sigma = (g[:-1, 0] / d[:-1, 0] + 1.0) / op.lump[:-1, 0]
         np.testing.assert_allclose(sigma, sigma[0], rtol=1e-12)
         assert sigma[0] > 1.0 / op.lump[:-1, 0].min()
+
+
+def reference_newton_direction(op, ab, g):
+    """The Newton direction as first written, factored by scipy's cholesky_banded."""
+    shift = op.lump[:-1].ravel()
+    sigma = 0.0
+    while sigma <= _SHIFT_MAX:
+        shifted = ab
+        if sigma > 0.0:
+            shifted = ab.copy()
+            shifted[0] += sigma * shift
+        try:
+            factor = cholesky_banded(shifted, lower=True)
+        except (np.linalg.LinAlgError, ValueError):
+            sigma = _SHIFT_FIRST if sigma == 0.0 else sigma * _SHIFT_GROWTH
+            continue
+        d = np.zeros_like(g)
+        d[:-1] = cho_solve_banded((factor, True), g[:-1].ravel()).reshape(-1, g.shape[1])
+        return d
+    return None
+
+
+class TestBareBandFactorisation:
+    """The Newton direction through bare dpbtrf equals the cholesky_banded path bit for bit."""
+
+    def system(self, spec, consts, hilltop):
+        # left of 0 the hilltop profile sits where W'' < 0, which makes the
+        # Hessian indefinite
+        profile, params = perturbed_profile(spec, consts)
+        u, iz = profile.values.copy(), profile.grid.index_zero
+        if hilltop:
+            u[:iz] = 0.3
+        op = WeightedEnergy(spec, params, profile.grid)
+        w = spec.value(u)
+        g, dw = op.grad(u, w)
+        return op, _band_hessian(op, u, w, dw, g[iz]), g
+
+    @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
+    @pytest.mark.parametrize("hilltop", [False, True])
+    def test_direction_bit_equal(self, builtin, hilltop, scalar_spec, decoupled_spec,
+                                 scalar_consts, decoupled_consts):
+        spec = scalar_spec if builtin == "scalar" else decoupled_spec
+        consts = scalar_consts if builtin == "scalar" else decoupled_consts
+        op, ab, g = self.system(spec, consts, hilltop)
+        if hilltop:
+            with pytest.raises(np.linalg.LinAlgError):
+                cholesky_banded(ab, lower=True)
+        else:
+            cholesky_banded(ab, lower=True)
+        got, want = _newton_direction(op, ab, g), reference_newton_direction(op, ab, g)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_hessian_has_no_direction(self, bad, decoupled_spec, decoupled_consts):
+        op, ab, g = self.system(decoupled_spec, decoupled_consts, False)
+        ab[0, 7] = bad
+        assert reference_newton_direction(op, ab, g) is None
+        assert _newton_direction(op, ab, g) is None
 
 
 def first_order_descent(spec, params, grid, values0, opts):

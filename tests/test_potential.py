@@ -36,6 +36,7 @@ from gradwave.potential import (
     _Monomials,
     _check_assumptions,
     _distinct_in_order,
+    _mesh_rows,
     _nearest_negative,
     _quartic_well,
     _row_norms,
@@ -857,6 +858,21 @@ def test_grid_value_matches_value_on_scan(name):
         assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
     else:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes", [
+    [np.linspace(-2.0, 2.0, 401), np.linspace(-2.0, 2.0, 401)],
+    [np.linspace(-2.0, 2.0, 7), np.array([0.3])],
+    [np.array([-1.0]), np.array([1.0])],
+])
+def test_decoupled_grid_value_is_an_outer_sum(axes):
+    # the separable kernel never builds point rows nor calls value, and
+    # equals value on the rows bit for bit
+    spec = decoupled_quartic(0.6, 1.2)
+    got = dataclasses.replace(spec, value=None).grid_value(axes)
+    assert got.shape == (len(axes[0]), len(axes[1]))
+    want = spec.value(_mesh_rows(axes)).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_deepest_well(spec):

@@ -208,6 +208,26 @@ class TestCsv:
         assert b"1e-05" in data and b"1e+16" in data and b"-0.0," in data
         assert data.count(b"\r\n") == g.n_nodes + 1
 
+    def test_exact_derivative_column_accepted(self, tmp_path, scalar_spec):
+        # an external writer's du_norm may be the exact |u'|, off from the
+        # stencil by O(h^2), and its W another roundoff of the same formula
+        g = Grid.uniform(-40.0 / 0.6, 22.0, 0.02)
+        vals = np.tanh(g.nodes + X0_TANH)[:, None]
+        vals[-1] = 1.0
+        w = scalar_spec.value(vals)
+        w = np.where(w == 0.0, w, w * (1.0 + 2.0 ** -52))
+        du_norm = 1.0 - np.tanh(g.nodes + X0_TANH) ** 2
+        rows = ["x,u1,W,du_norm"] + [
+            ",".join(repr(float(v)) for v in (g.nodes[i], vals[i, 0], w[i], du_norm[i]))
+            for i in range(g.n_nodes)]
+        path = tmp_path / "exact.csv"
+        path.write_text("\n".join(rows) + "\n")
+        q = read_csv(path, scalar_spec)
+        assert np.array_equal(q.values, vals)
+        # the accepted gap is the stencil's, not a loose one
+        d = derivative(q).values[:, 0]
+        assert 5e-5 < np.max(np.abs(d - du_norm)) < 1e-3
+
     def test_header_mismatch_names_column(self, tmp_path, scalar_spec):
         path = tmp_path / "bad.csv"
         path.write_text("x,u1,u2,W,du_norm\n0.0,1.0,1.0,0.0,0.0\n")

@@ -8,6 +8,7 @@ import pytest
 import gradwave.minimize as minimize
 import gradwave.speed as speed
 from gradwave import (
+    ContractViolationError,
     Grid,
     MinimizeOptions,
     NotAWaveError,
@@ -25,6 +26,7 @@ from gradwave.speed import (
     seed_points,
     speed_subgrid,
     transfer_profile,
+    well_seeds,
 )
 from gradwave.verify import run_verify
 from conftest import make_grid, quartic_well_terms
@@ -166,21 +168,28 @@ class TestGammaCurve:
         c_list, curve, grid = scalar_curve
         opts = MinimizeOptions(opt_tol=1e-6)
         cold = gamma_at(scalar_spec, scalar_consts, grid, c_list[0], opts,
-                        seed_points(scalar_spec, scalar_consts))
+                        well_seeds(scalar_spec, scalar_consts, grid))
         assert cold.gamma == curve[0].gamma
         assert np.array_equal(cold.profile.values, curve[0].profile.values)
 
 
-def logged_find_speed(spec, consts, alter=None):
+def logged_find_speed(spec, consts, alter=None, cold_final=False):
     """find_speed at h = 0.02 with every gamma_at call logged as (c, warm).
 
     ``alter(c, warm, result)``, when given, replaces what gamma_at returns.
+    ``cold_final`` races the final solve cold from every well instead of
+    starting it from the cold minimizer at the final upper end.
     """
     calls = []
     real = speed.gamma_at
+    final_opts = MinimizeOptions()
 
-    def logged(spec, consts, grid, c, opts, wells, warm_from=None, penalty_kappa=1e3):
-        res = real(spec, consts, grid, c, opts, wells, warm_from, penalty_kappa)
+    def logged(spec, consts, grid, c, opts, seeds, warm_from=None, penalty_kappa=1e3):
+        if cold_final and opts is final_opts:
+            # the probes run on a copy with a looser tolerance; the final
+            # solve gets the caller's options
+            warm_from = None
+        res = real(spec, consts, grid, c, opts, seeds, warm_from, penalty_kappa)
         warm = warm_from is not None
         calls.append((c, warm))
         return res if alter is None else alter(c, warm, res)
@@ -189,7 +198,7 @@ def logged_find_speed(spec, consts, alter=None):
     grid = make_grid(consts, bounds.bracket_lo, h=0.02)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(speed, "gamma_at", logged)
-        res = find_speed(spec, consts, grid, MinimizeOptions(), 1e-3)
+        res = find_speed(spec, consts, grid, final_opts, 1e-3)
     return res, calls, bounds
 
 
@@ -264,6 +273,48 @@ class TestSignCertificates:
         assert abs(res.c_star - scalar_logged[0].c_star) <= 1e-3
 
 
+@pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
+def test_warm_final_solve_matches_cold_race(builtin, request):
+    # the final solve starts from the cold minimizer at the final upper end;
+    # a cold race at the same c* finds the same wave
+    spec = request.getfixturevalue(f"{builtin}_spec")
+    consts = request.getfixturevalue(f"{builtin}_consts")
+    res, calls, _ = request.getfixturevalue(f"{builtin}_logged")
+    cold, cold_calls, _ = logged_find_speed(spec, consts, cold_final=True)
+    assert calls[-1] == (res.c_star, True)
+    assert cold_calls == calls[:-1] + [(res.c_star, False)]
+    assert cold.c_star == res.c_star
+    assert cold.bracket_history == res.bracket_history
+    assert res.gamma_result.converged and cold.gamma_result.converged
+    assert abs(res.gamma_at_c_star - cold.gamma_at_c_star) <= 1e-12
+    assert np.array_equal(res.profile.grid.nodes, cold.profile.grid.nodes)
+    assert np.max(np.abs(res.profile.values - cold.profile.values)) <= 1e-6
+    for r in (res, cold):
+        assert run_verify(spec, consts, r.c_star, r.profile, r.gamma_at_c_star).passed
+
+
+@pytest.mark.parametrize("c", [0.8, 1.5])
+def test_cold_seeds_equal_segment_profiles(c, decoupled_spec, decoupled_consts):
+    # the per-run seeds, sliced onto a sub-grid, are the segment profiles
+    # built on that sub-grid
+    grid = make_grid(decoupled_consts, 0.5, h=0.02)
+    seeds = well_seeds(decoupled_spec, decoupled_consts, grid)
+    sub, got = speed.cold_seeds(decoupled_consts, grid, c, seeds)
+    assert 0 < sub.n_nodes < grid.n_nodes
+    points = seed_points(decoupled_spec, decoupled_consts)
+    assert len(got) == len(points) == 3
+    for seed, p in zip(got, points):
+        want = segment_profile(decoupled_spec, sub, p)
+        assert seed.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+        assert seed.values.tobytes() == want.values.tobytes()
+
+
+def test_cold_seeds_reject_another_grid(scalar_spec, scalar_consts):
+    seeds = well_seeds(scalar_spec, scalar_consts, Grid.uniform(-60.0, 20.0, 0.05))
+    with pytest.raises(ContractViolationError):
+        speed.cold_seeds(scalar_consts, Grid.uniform(-60.0, 20.0, 0.1), 1.0, seeds)
+
+
 def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeypatch):
     runs = []
     real = minimize._descent
@@ -274,11 +325,10 @@ def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeyp
         return out
 
     monkeypatch.setattr(minimize, "_descent", counted)
-    wells = seed_points(decoupled_spec, decoupled_consts)
-    assert len(wells) == 3
+    assert len(seed_points(decoupled_spec, decoupled_consts)) == 3
     grid = make_grid(decoupled_consts, 1.0, h=0.05)
-    res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5,
-                   MinimizeOptions(opt_tol=1e-5), wells)
+    res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5, MinimizeOptions(opt_tol=1e-5),
+                   well_seeds(decoupled_spec, decoupled_consts, grid))
     race = [iters for cap, iters in runs if cap == minimize._RACE_BUDGET]
     assert len(race) == 3
     assert res.iterations >= sum(race)
@@ -293,6 +343,6 @@ def test_short_race_picks_the_wave(decoupled_spec, decoupled_consts):
     grid = make_grid(decoupled_consts, bounds.bracket_lo, h=0.02)
     c = 1.2003735488958043
     res = gamma_at(decoupled_spec, decoupled_consts, grid, c, MinimizeOptions(),
-                   seed_points(decoupled_spec, decoupled_consts))
+                   well_seeds(decoupled_spec, decoupled_consts, grid))
     np.testing.assert_allclose(res.profile.values[0], [1.0, -1.0], rtol=0, atol=1e-3)
     assert run_verify(decoupled_spec, decoupled_consts, c, res.profile, res.gamma).passed
