@@ -22,7 +22,7 @@ from .errors import (
     WaveSolverError,
     WeightOverflowError,
 )
-from .functional import BoundsReport, FunctionalParams, compute_bounds, energy, energy_gradient, penalty_energy
+from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds, energy
 from .minimize import GammaResult, MinimizeOptions, minimize_profile
 from .potential import (
     PotentialConstants,
@@ -75,19 +75,18 @@ __all__ = [
     "VerifyThresholds",
     "WaveSolverError",
     "WeightOverflowError",
+    "WeightedEnergy",
     "compute_bounds",
     "compute_constants",
     "decoupled_quartic",
     "derivative",
     "energy",
-    "energy_gradient",
     "evaluate",
     "find_equilibria",
     "find_speed",
     "gamma_curve",
     "gamma_zero_tol",
     "minimize_profile",
-    "penalty_energy",
     "project_to_zero_set",
     "read_csv",
     "run_verify",

@@ -117,10 +117,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
     consts = compute_constants(spec)
     c_values = cfg.c_list if cfg.c_list is not None else [cfg.c]
     grid = _resolve_grid(cfg, consts, min(c_values))
-    opts = cfg.minimize_options()
-
-    results = gamma_curve(spec, consts, grid, c_values, opts,
-                          penalty_kappa=cfg.penalty_kappa)
+    results = gamma_curve(spec, consts, grid, c_values, cfg.solver)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "gamma_vs_c.csv"
@@ -165,10 +162,7 @@ def cmd_speed(cfg: RunConfig, out_dir: Path) -> int:
     consts = compute_constants(spec)
     bounds0 = compute_bounds(spec, consts, 1.0)
     grid = _resolve_grid(cfg, consts, bounds0.bracket_lo)
-    opts = cfg.minimize_options()
-
-    res = find_speed(spec, consts, grid, opts, cfg.c_tol,
-                     penalty_kappa=cfg.penalty_kappa)
+    res = find_speed(spec, consts, grid, cfg.solver, cfg.c_tol)
     report_verify = run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star)
     res = res.with_wave_ok(report_verify.passed)
 
@@ -217,7 +211,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, profile_path: str) -> int:
         profile = read_csv(profile_path, spec)
     except OSError as err:
         raise ConfigError(f"cannot read the profile: {err}") from None
-    gamma_hat = energy(spec, FunctionalParams(c=cfg.c, penalty_kappa=0.0), profile)
+    gamma_hat = energy(spec, FunctionalParams(c=cfg.c), profile)
     report_verify = run_verify(spec, consts, cfg.c, profile, gamma_hat)
 
     result = {

@@ -8,6 +8,7 @@ range-checked, and error messages name the offending section and field.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -39,10 +40,7 @@ class RunConfig:
     x_right: float | None
     h: float
     refinement: str
-    opt_tol: float
-    penalty_kappa: float
-    max_iters: int
-    feas_tol: float
+    solver: MinimizeOptions
     c: float | None
     c_list: list | None
     c_tol: float | None
@@ -50,22 +48,21 @@ class RunConfig:
     report: str
     raw: dict = field(default_factory=dict)
 
-    def minimize_options(self) -> MinimizeOptions:
-        return MinimizeOptions(
-            opt_tol=self.opt_tol,
-            max_iters=self.max_iters,
-            feas_tol=self.feas_tol,
-        )
+
+def _finite(raw, section, key):
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ConfigError(f"{section}.{key}: expected a number, got '{raw}'") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got '{raw}'")
+    return val
 
 
 def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
     if not cp.has_option(section, key):
         return default
-    raw = cp.get(section, key)
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got '{raw}'")
+    val = _finite(cp.get(section, key), section, key)
     if positive and not val > 0:
         raise ConfigError(f"{section}.{key}: must be positive, got {val}")
     if nonnegative and val < 0:
@@ -89,10 +86,7 @@ def _get_int(cp, section, key, default=None, positive=False, nonnegative=False):
 
 
 def _parse_floats(raw, section, key):
-    try:
-        return [float(v) for v in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected numbers, got '{raw}'")
+    return [_finite(v, section, key) for v in raw.replace(",", " ").split()]
 
 
 def load_config(path) -> RunConfig:
@@ -165,7 +159,7 @@ def load_config(path) -> RunConfig:
             ends = part.split(":")
             if len(ends) != 2:
                 raise ConfigError(f"potential.box: expected lo:hi pairs, got '{part.strip()}'")
-            lo, hi = (float(e) for e in ends)
+            lo, hi = (_finite(e.strip(), "potential", "box") for e in ends)
             if not lo < hi:
                 raise ConfigError("potential.box: each interval needs lo < hi")
             box.append([lo, hi])
@@ -187,15 +181,18 @@ def load_config(path) -> RunConfig:
     if refinement not in ("uniform", "geometric"):
         raise ConfigError(f"grid.refinement: expected uniform or geometric, got '{refinement}'")
 
-    opt_tol = _get_float(cp, "solver", "opt_tol", default=1e-8, positive=True)
-    penalty_kappa = _get_float(cp, "solver", "penalty_kappa", default=1e3, nonnegative=True)
-    max_iters = _get_int(cp, "solver", "max_iters", default=200_000, positive=True)
     # the benchmark inputs still write restarts and seed (ROADMAP item 1):
     # restarts is accepted only as 0, seed is checked and otherwise unused
     if _get_int(cp, "solver", "restarts", default=0) != 0:
         raise ConfigError("solver.restarts: random restarts were removed; only 0 is accepted")
     _get_int(cp, "solver", "seed", nonnegative=True)
-    feas_tol = _get_float(cp, "solver", "feas_tol", default=1e-8, positive=True)
+    # a key left out takes its MinimizeOptions default
+    solver = {
+        "opt_tol": _get_float(cp, "solver", "opt_tol", positive=True),
+        "penalty_kappa": _get_float(cp, "solver", "penalty_kappa", nonnegative=True),
+        "max_iters": _get_int(cp, "solver", "max_iters", positive=True),
+        "feas_tol": _get_float(cp, "solver", "feas_tol", positive=True),
+    }
 
     c = _get_float(cp, "mode", "c", positive=True)
     c_tol = _get_float(cp, "mode", "c_tol", positive=True)
@@ -217,8 +214,7 @@ def load_config(path) -> RunConfig:
         variant=variant, alpha=alpha, beta=beta, dim=dim, terms=terms,
         well_b=well_b, box=box,
         x_left=x_left, x_right=x_right, h=h, refinement=refinement,
-        opt_tol=opt_tol, penalty_kappa=penalty_kappa, max_iters=max_iters,
-        feas_tol=feas_tol,
+        solver=MinimizeOptions(**{k: v for k, v in solver.items() if v is not None}),
         c=c, c_list=c_list, c_tol=c_tol,
         directory=directory, report=report, raw=raw,
     )

@@ -26,16 +26,13 @@ WEIGHT_EXP_CAP = 600.0
 
 @dataclass(frozen=True)
 class FunctionalParams:
-    """Wave-speed parameter plus the weight of the sign-constraint penalty."""
+    """The wave-speed parameter of the weighted energy."""
 
     c: float
-    penalty_kappa: float = 1e3
 
     def __post_init__(self):
         if not self.c > 0:
             raise ContractViolationError(f"speed parameter must be positive, got {self.c}")
-        if self.penalty_kappa < 0:
-            raise ContractViolationError("penalty weight must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,21 +70,23 @@ def cell_weights(grid, params: FunctionalParams) -> np.ndarray:
 class WeightedEnergy:
     """Energy plus penalty of profiles on one grid at one speed, with its exact gradient.
 
-    Built once per (spec, params, grid): the cell weights, the stiffness
-    E/h^2, the lumped node weights and the penalty node weights are fixed
-    here, so an evaluation is array arithmetic on the node values alone.  The
-    node weights are stored at the (nodes, dim) shape of a profile, because
-    broadcasting a column against two or more components costs several times
-    a same-shape operation.  The penalty covers the cells right of 0, which
-    start at the node pinned at 0.
+    Built once per (spec, params, grid, kappa): the cell weights, the
+    stiffness E/h^2, the lumped node weights and the penalty node weights are
+    fixed here, so an evaluation is array arithmetic on the node values
+    alone.  The node weights are stored at the (nodes, dim) shape of a
+    profile, because broadcasting a column against two or more components
+    costs several times a same-shape operation.  The penalty, of weight
+    ``kappa``, covers the cells right of 0, which start at the node pinned at
+    0; with the default ``kappa = 0`` this is the bare energy J.
     """
 
-    def __init__(self, spec: PotentialSpec, params: FunctionalParams, grid: Grid):
-        h = np.diff(grid.nodes)
+    def __init__(self, spec: PotentialSpec, params: FunctionalParams, grid: Grid,
+                 kappa: float = 0.0):
+        self.h = h = np.diff(grid.nodes)
         E = cell_weights(grid, params)
         self.spec = spec
         self.iz = iz = grid.index_zero
-        self.kappa = params.penalty_kappa
+        self.kappa = kappa
         self.E = E
         self.E_pen = E[iz:]
 
@@ -134,33 +133,26 @@ class WeightedEnergy:
         g[-1] = 0.0
         return g, dw
 
+    def cell_energy(self, u: np.ndarray):
+        """(weighted energy per cell, slope energy |u'|^2 / 2 per cell) of u.
+
+        The cell terms sum to the energy J of ``value``, up to roundoff.
+        """
+        w = self.spec.value(u)
+        du = (u[1:] - u[:-1]) / self.h[:, None]
+        kin = 0.5 * np.sum(du * du, axis=1)
+        return self.E * (kin + 0.5 * (w[:-1] + w[1:])), kin
+
     def violation(self, w: np.ndarray) -> float:
         """How far the potential dips below 0 at the nodes right of 0."""
         return max(0.0, -float(np.min(w[self.iz + 1:])))
 
 
 def energy(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
-    """Weighted energy of the profile over the truncated grid (penalty excluded)."""
+    """Weighted energy J of the profile over the truncated grid."""
     if not np.array_equal(profile.well_b, np.asarray(spec.well_b, dtype=float)):
         raise ContractViolationError("profile right boundary does not match the potential well")
     return WeightedEnergy(spec, params, profile.grid).value(profile.values)[0]
-
-
-def penalty_energy(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
-    """Quadratic penalty on the negative part of the potential right of 0."""
-    return WeightedEnergy(spec, params, profile.grid).value(profile.values)[1]
-
-
-def energy_gradient(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> np.ndarray:
-    """Exact gradient of energy + penalty with respect to node values."""
-    op = WeightedEnergy(spec, params, profile.grid)
-    return op.grad(profile.values, spec.value(profile.values))[0]
-
-
-def objective(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
-    """Energy plus penalty, the quantity the minimizer descends."""
-    J, P, _ = WeightedEnergy(spec, params, profile.grid).value(profile.values)
-    return J + P
 
 
 def decay_rate(consts: PotentialConstants, c: float) -> float:

@@ -38,15 +38,21 @@ from .functional import cell_weights  # noqa: F401
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Stopping tolerances and the feasibility bar for the descent loop."""
+    """Solver settings: stopping tolerances, the feasibility bar, and the
+    weight of the quadratic penalty the descent puts on the sign constraint."""
 
     opt_tol: float = 1e-8
     max_iters: int = 200_000
     feas_tol: float = 1e-8
+    penalty_kappa: float = 1e3
 
     def __post_init__(self):
-        if not (self.opt_tol > 0 and self.max_iters > 0):
-            raise ContractViolationError("opt_tol and max_iters must be positive")
+        # written as "not x > 0" so that NaN fails too
+        if not (self.opt_tol > 0 and self.max_iters > 0 and self.feas_tol > 0):
+            raise ContractViolationError("opt_tol, max_iters and feas_tol must be positive")
+        if not self.penalty_kappa >= 0:
+            raise ContractViolationError(
+                f"penalty_kappa must be nonnegative, got {self.penalty_kappa}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,7 @@ def _descent(spec, params, grid, values0, opts):
     longer resolve a decrease in double precision while the displacement norm
     is already far below any physical scale.
     """
-    op = WeightedEnergy(spec, params, grid)
+    op = WeightedEnergy(spec, params, grid, opts.penalty_kappa)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
     d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)

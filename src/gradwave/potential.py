@@ -663,19 +663,19 @@ def _smallest(x: np.ndarray, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, x[idx]))][:k]
 
 
-def _first_negative_crossings(spec: PotentialSpec, b, points, samples: int = 2001) -> list:
+def _first_negative_crossings(spec: PotentialSpec, b, points) -> list:
     """For each row p of ``points``, the smallest t in (0, 1] with W(b + t (p - b)) < 0.
 
-    Each segment is sampled at ``samples`` values of t, all in one value
+    Each segment is sampled at 2001 values of t, all in one value
     call; None where no sample is below -NEG_TOL, 0.0 where the first one
     is.  The others are bisected together to ~1e-14, 80 halvings of one
     value call each, so every t is the one a point-by-point bisection finds.
     """
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, 2001)
     steps = points - b
     lines = b + ts[:, None] * steps[:, None, :]
     below = np.asarray(spec.value(lines.reshape(-1, spec.dim)), dtype=float).reshape(
-        len(points), samples) < -NEG_TOL
+        len(points), ts.size) < -NEG_TOL
     first = np.argmax(below, axis=1)
     out = [None if not below[i, j] else 0.0 for i, j in enumerate(first)]
     open_ = np.flatnonzero(first > 0)
@@ -802,17 +802,11 @@ def well_minima(spec: PotentialSpec, equilibria) -> list[np.ndarray]:
     return [q for q, e in zip(equilibria, lowest) if e > 0]
 
 
-def project_to_zero_set(
-    spec: PotentialSpec,
-    point,
-    proj_tol: float = PROJ_TOL,
-    gradient_floor: float = GRADIENT_FLOOR,
-    max_iter: int = PROJ_MAX_ITER,
-) -> np.ndarray:
+def project_to_zero_set(spec: PotentialSpec, point) -> np.ndarray:
     """Project a point onto the boundary of the negative region.
 
     Damped Newton steps along the gradient direction; the result q satisfies
-    |W(q)| <= proj_tol and is verified to sit on the boundary of {W < 0}
+    |W(q)| <= PROJ_TOL and is verified to sit on the boundary of {W < 0}
     (an inward probe must go negative), so the isolated zero at the
     reference well is rejected.  A point already on the boundary is
     returned as is.
@@ -828,22 +822,22 @@ def project_to_zero_set(
     def on_boundary(qq) -> bool:
         g = np.asarray(spec.gradient(qq), dtype=float)
         gn = float(np.linalg.norm(g))
-        if gn < gradient_floor:
+        if gn < GRADIENT_FLOOR:
             return False
         probe = 1e-3 * float(np.linalg.norm(hi - lo))
         return float(spec.value(qq - probe * g / gn)) < 0.0
 
     w = float(spec.value(q))
-    if abs(w) <= proj_tol:
+    if abs(w) <= PROJ_TOL:
         if on_boundary(q):
             return q
         raise DegenerateProjectionError(
             "point satisfies |W| <= tol but is not on the negative-region boundary"
         )
-    for _ in range(max_iter):
+    for _ in range(PROJ_MAX_ITER):
         g = np.asarray(spec.gradient(q), dtype=float)
         gn2 = float(np.dot(g, g))
-        if np.sqrt(gn2) < gradient_floor:
+        if np.sqrt(gn2) < GRADIENT_FLOOR:
             raise DegenerateProjectionError(
                 "gradient magnitude fell below the floor during projection"
             )
@@ -861,12 +855,12 @@ def project_to_zero_set(
         else:
             raise ProjectionConvergenceError("projection stalled without progress")
         q, w = q_new, w_new
-        if abs(w) <= proj_tol:
+        if abs(w) <= PROJ_TOL:
             if on_boundary(q):
                 return q
             raise DegenerateProjectionError(
                 "projection converged to a degenerate zero away from the boundary"
             )
     raise ProjectionConvergenceError(
-        f"projection did not reach |W| <= {proj_tol:g} in {max_iter} iterations"
+        f"projection did not reach |W| <= {PROJ_TOL:g} in {PROJ_MAX_ITER} iterations"
     )

@@ -137,6 +137,22 @@ def _one_sided(u0, u1, u2, h1, h2):
     return c0 * u0 + c1 * u1 + c2 * u2
 
 
+def centered_difference(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Second-order first derivative of f at the interior nodes of x.
+
+    f holds one row per node, a scalar or a vector per row; the three-point
+    stencil is exact for quadratics on a nonuniform grid.
+    """
+    shape = (-1,) + (1,) * (f.ndim - 1)
+    hm = (x[1:-1] - x[:-2]).reshape(shape)
+    hp = (x[2:] - x[1:-1]).reshape(shape)
+    return (
+        -hp / (hm * (hm + hp)) * f[:-2]
+        + (hp - hm) / (hm * hp) * f[1:-1]
+        + hm / (hp * (hm + hp)) * f[2:]
+    )
+
+
 def derivative(profile: Profile) -> ProfileDerivative:
     """Second-order first derivative on a possibly nonuniform grid."""
     x = profile.grid.nodes
@@ -145,14 +161,7 @@ def derivative(profile: Profile) -> ProfileDerivative:
         raise ContractViolationError("derivative needs at least 3 nodes")
     n = x.size
     d = np.empty_like(u)
-
-    hm = (x[1:-1] - x[:-2])[:, None]
-    hp = (x[2:] - x[1:-1])[:, None]
-    d[1:-1] = (
-        -hp / (hm * (hm + hp)) * u[:-2]
-        + (hp - hm) / (hm * hp) * u[1:-1]
-        + hm / (hp * (hm + hp)) * u[2:]
-    )
+    d[1:-1] = centered_difference(x, u)
     d[0] = _one_sided(u[0], u[1], u[2], x[1] - x[0], x[2] - x[1])
     d[-1] = -_one_sided(u[-1], u[-2], u[-3], x[-1] - x[-2], x[-2] - x[-3])
 

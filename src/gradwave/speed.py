@@ -103,11 +103,11 @@ def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
     return Grid(nodes=nodes[i_lo:i_hi].copy())
 
 
-def transfer_profile(profile: Profile, grid: Grid, well_b) -> Profile:
+def transfer_profile(profile: Profile, grid: Grid) -> Profile:
     """Resample a profile onto another grid, extending by its end values."""
     vals = interpolate(profile, grid.nodes)
-    vals[-1] = np.asarray(well_b, dtype=float)
-    return Profile(grid=grid, values=vals, well_b=np.asarray(well_b, dtype=float))
+    vals[-1] = profile.well_b
+    return Profile(grid=grid, values=vals, well_b=profile.well_b)
 
 
 def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndarray]:
@@ -157,7 +157,6 @@ def gamma_at(
     opts: MinimizeOptions,
     seeds,
     warm_from: Profile | None = None,
-    penalty_kappa: float = 1e3,
 ) -> GammaResult:
     """Minimum energy at c on speed_subgrid(grid, consts, c).
 
@@ -165,10 +164,10 @@ def gamma_at(
     else raced cold from the slices of ``seeds``, the ``well_seeds`` of
     ``grid``, on the sub-grid.
     """
-    params = FunctionalParams(c=c, penalty_kappa=penalty_kappa)
+    params = FunctionalParams(c=c)
     if warm_from is not None:
         sub = speed_subgrid(grid, consts, c)
-        init = transfer_profile(warm_from, sub, spec.well_b)
+        init = transfer_profile(warm_from, sub)
         return minimize_profile(spec, consts, params, sub, init, opts)
     sub, inits = cold_seeds(consts, grid, c, seeds)
     return minimize_from_seeds(spec, consts, params, sub, inits, opts)
@@ -180,7 +179,6 @@ def find_speed(
     grid: Grid,
     opts: MinimizeOptions,
     c_tol: float,
-    penalty_kappa: float = 1e3,
 ) -> SpeedResult:
     """Bisect the analytic bracket for the root of the minimum energy.
 
@@ -208,7 +206,7 @@ def find_speed(
     seeds = well_seeds(spec, consts, grid)
 
     def probe(c: float, warm_from: Profile | None) -> float:
-        res = gamma_at(spec, consts, grid, c, probe_opts, seeds, warm_from, penalty_kappa)
+        res = gamma_at(spec, consts, grid, c, probe_opts, seeds, warm_from)
         if warm_from is None:
             solved_cold.add(c)
         evaluated[c] = res
@@ -219,7 +217,7 @@ def find_speed(
         # any feasible profile bounds the minimum from above, so a cold seed
         # with negative energy settles the sign without a descent
         sub, inits = cold_seeds(consts, grid, c, seeds)
-        op = WeightedEnergy(spec, FunctionalParams(c=c, penalty_kappa=penalty_kappa), sub)
+        op = WeightedEnergy(spec, FunctionalParams(c=c), sub)
         for seed in inits:
             J, _, w = op.value(translate_to_crossing(spec, seed).values)
             if J < 0 and op.violation(w) <= probe_opts.feas_tol:
@@ -285,8 +283,7 @@ def find_speed(
     # c_hi is now solved cold and lies within c_tol / 2 of c_star: its
     # minimizer starts the final solve, and no sign depends on that solve
     c_star = 0.5 * (c_lo + c_hi)
-    final = gamma_at(spec, consts, grid, c_star, opts, seeds, evaluated[c_hi].profile,
-                     penalty_kappa)
+    final = gamma_at(spec, consts, grid, c_star, opts, seeds, evaluated[c_hi].profile)
     return SpeedResult(
         c_star=c_star,
         gamma_at_c_star=final.gamma,
@@ -302,15 +299,13 @@ def wave_at_speed(
     grid: Grid,
     c: float,
     opts: MinimizeOptions,
-    penalty_kappa: float = 1e3,
 ) -> Profile:
     """Minimizer profile at a speed where the minimum energy vanishes.
 
     Raises NotAWaveError when the converged minimum energy is not zero
     within tolerance; run find_speed first to locate the root speed.
     """
-    res = gamma_at(spec, consts, grid, c, opts, well_seeds(spec, consts, grid),
-                   penalty_kappa=penalty_kappa)
+    res = gamma_at(spec, consts, grid, c, opts, well_seeds(spec, consts, grid))
     tol = gamma_zero_tol(consts, c)
     if abs(res.gamma) > tol:
         raise NotAWaveError(
@@ -326,7 +321,6 @@ def gamma_curve(
     grid: Grid,
     c_list,
     opts: MinimizeOptions,
-    penalty_kappa: float = 1e3,
 ) -> list[GammaResult]:
     """Minimum energy along an increasing list of speeds.
 
@@ -343,8 +337,7 @@ def gamma_curve(
         raise ContractViolationError("c_list must be strictly increasing")
 
     seeds = well_seeds(spec, consts, grid)
-    results = [gamma_at(spec, consts, grid, c_arr[0], opts, seeds, penalty_kappa=penalty_kappa)]
+    results = [gamma_at(spec, consts, grid, c_arr[0], opts, seeds)]
     for c in c_arr[1:]:
-        results.append(gamma_at(spec, consts, grid, c, opts, seeds,
-                                results[-1].profile, penalty_kappa))
+        results.append(gamma_at(spec, consts, grid, c, opts, seeds, results[-1].profile))
     return results

@@ -22,12 +22,13 @@ from .errors import (
     TailError,
     WaveSolverError,
 )
-from .functional import FunctionalParams, cell_weights, decay_rate
+from .functional import FunctionalParams, WeightedEnergy, decay_rate
 from .potential import PROJ_TOL, PotentialConstants, PotentialSpec, golden_section_min
-from .profile import Profile, derivative, second_derivative
+from .profile import Profile, centered_difference, derivative, second_derivative
 
-# Nothing here calls this: perfbench/layertrace.py wraps it by name until the
-# next benchmark change drops it (ROADMAP item 1).
+# Nothing here calls these: perfbench/layertrace.py wraps them by name until
+# the next benchmark change drops them (ROADMAP item 1).
+from .functional import cell_weights  # noqa: F401
 from .potential import find_equilibria  # noqa: F401
 
 
@@ -64,17 +65,6 @@ class VerifyReport:
         }
         out["pass"] = self.passed
         return out
-
-
-def _centered_scalar(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Second-order first derivative of a scalar field at interior nodes."""
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    return (
-        -hp / (hm * (hm + hp)) * f[:-2]
-        + (hp - hm) / (hm * hp) * f[1:-1]
-        + hm / (hp * (hm + hp)) * f[2:]
-    )
 
 
 def el_residual(spec: PotentialSpec, c: float, profile: Profile) -> float:
@@ -127,35 +117,27 @@ def first_integral_residual(spec: PotentialSpec, c: float, profile: Profile) -> 
         s2 = speed2[: iz + 1].copy()
         s2[iz] = float(np.dot(der.left_at_zero, der.left_at_zero))
         xi = 0.5 * s2 - w[: iz + 1]
-        res = _centered_scalar(x[: iz + 1], xi) + c * s2[1:-1]
+        res = centered_difference(x[: iz + 1], xi) + c * s2[1:-1]
         out = max(out, float(np.max(np.abs(res))))
     # right side, using the right-sided slope at the node pinned to 0
     if x.size - iz >= 4:
         s2 = speed2[iz:].copy()
         s2[0] = float(np.dot(der.right_at_zero, der.right_at_zero))
         xi = 0.5 * s2 - w[iz:]
-        res = _centered_scalar(x[iz:], xi) + c * s2[1:-1]
+        res = centered_difference(x[iz:], xi) + c * s2[1:-1]
         out = max(out, float(np.max(np.abs(res))))
     return out
 
 
 def _halfline_energies(spec, c, profile):
-    """Weighted energy over each half-line with the cellwise-exact weight rule,
+    """Weighted energy over each half-line, summed from the energy's own cells,
     plus the unweighted slope energy over the right half-line."""
-    x = profile.grid.nodes
-    u = profile.values
     iz = profile.grid.index_zero
-    params = FunctionalParams(c=c, penalty_kappa=0.0)
-    E = cell_weights(profile.grid, params)
-    h = np.diff(x)
-    w = spec.value(u)
-    du = (u[1:] - u[:-1]) / h[:, None]
-    kin = 0.5 * np.sum(du * du, axis=1)
-    pot = 0.5 * (w[:-1] + w[1:])
-    g = E * (kin + pot)
+    op = WeightedEnergy(spec, FunctionalParams(c=c), profile.grid)
+    g, kin = op.cell_energy(profile.values)
     right = float(np.sum(g[iz:]))
     left = float(np.sum(g[:iz]))
-    slope_right = float(np.sum(2.0 * kin[iz:] * h[iz:]))
+    slope_right = float(np.sum(2.0 * kin[iz:] * op.h[iz:]))
     return right, left, slope_right
 
 
@@ -340,7 +322,6 @@ def shooting_check(
     consts: PotentialConstants,
     c: float,
     profile: Profile,
-    step: float | None = None,
 ) -> float:
     """Gap between the profile and an independently integrated wave trajectory.
 
@@ -374,7 +355,7 @@ def shooting_check(
         raise TailError("tail amplitude too small to anchor the shooting")
 
     y0 = np.concatenate([b + a_signed * v, -lam * a_signed * v])
-    h_step = (step if step is not None else float(np.min(np.diff(x))) / 4.0)
+    h_step = float(np.min(np.diff(x))) / 4.0
     center = 0.5 * (spec.bounding_box[:, 0] + spec.bounding_box[:, 1])
     half = 0.5 * (spec.bounding_box[:, 1] - spec.bounding_box[:, 0])
     xs, ys = _rk4_backward(

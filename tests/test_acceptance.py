@@ -19,14 +19,13 @@ from gradwave import (
     MinimizeOptions,
     compute_bounds,
     compute_constants,
+    WeightedEnergy,
     derivative,
-    energy_gradient,
     gamma_curve,
     scalar_cubic,
     segment_profile,
 )
 from gradwave.cli import main
-from gradwave.functional import objective
 from gradwave.verify import (
     first_integral_residual,
     fit_decay_rate,
@@ -176,22 +175,23 @@ def test_criterion_07_gradient_matches_finite_differences(
     for spec, consts in ((scalar_spec, scalar_consts), (decoupled_spec, decoupled_consts)):
         grid = Grid.uniform(-6.0, 5.0, 0.1)
         base = segment_profile(spec, grid, consts.point_a)
-        params = FunctionalParams(c=0.8, penalty_kappa=100.0)
+        op = WeightedEnergy(spec, FunctionalParams(c=0.8), grid, kappa=100.0)
+
+        def objective(values):
+            J, P, _ = op.value(values)
+            return J + P
+
         for _ in range(20):
             vals = base.values + 0.2 * rng.standard_normal(base.values.shape)
             vals[-1] = base.well_b
-            p = base.with_values(vals)
-            grad = energy_gradient(spec, params, p)
+            grad = op.grad(vals, spec.value(vals))[0]
             eps = 1e-6
             for i in rng.choice(grid.n_nodes - 1, size=6, replace=False):
-                for k in range(p.dim):
+                for k in range(spec.dim):
                     vp, vm = vals.copy(), vals.copy()
                     vp[i, k] += eps
                     vm[i, k] -= eps
-                    fd = (
-                        objective(spec, params, p.with_values(vp))
-                        - objective(spec, params, p.with_values(vm))
-                    ) / (2 * eps)
+                    fd = (objective(vp) - objective(vm)) / (2 * eps)
                     rel = abs(grad[i, k] - fd) / (1.0 + abs(fd))
                     worst = max(worst, rel)
                     assert rel <= 1e-6

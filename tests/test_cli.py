@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gradwave.cli
+import gradwave.minimize
 import gradwave.potential
 import gradwave.verify
 from gradwave import (
@@ -43,6 +44,9 @@ c_tol = 5e-3
 [output]
 directory = {out}
 """
+
+
+SCALAR = "variant = scalar_cubic\nalpha = 0.6"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -97,6 +101,24 @@ alpha = 0.6
 """)
         assert main(["gamma", "--config", cfg]) == 1
 
+    # each of these once ended in a traceback, exited 2 as a solver error, or
+    # (penalty_kappa = nan) silently switched the penalty off
+    @pytest.mark.parametrize("key, potential, extra", [
+        ("potential.box", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; -1.0 2\n"
+                          "well_b = 1.0\nbox = -2:abc", ""),
+        ("grid.x_left", SCALAR, "[grid]\nx_left = nan\nh = 0.05\n[mode]\nc = 0.6"),
+        ("grid.x_right", SCALAR, "[grid]\nx_right = inf\nh = 0.05\n[mode]\nc = 0.6"),
+        ("mode.c_list", SCALAR, "[grid]\nh = 0.05\n[mode]\nc_list = 0.5, nan"),
+        ("solver.penalty_kappa", SCALAR,
+         "[grid]\nh = 0.05\n[solver]\npenalty_kappa = nan\n[mode]\nc = 0.6"),
+    ], ids=["box", "x_left", "x_right", "c_list", "penalty_kappa"])
+    def test_bad_number_exits_1_and_names_key(self, tmp_path, capsys, key, potential, extra):
+        cfg = write_config(tmp_path, f"[potential]\n{potential}\n{extra}\n"
+                                     f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        command = "bounds" if key == "potential.box" else "gamma"
+        assert main([command, "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("restarts, seed, message", [
         ("0", "5", None),
         ("3", "0", "solver.restarts: random restarts were removed; only 0 is accepted"),
@@ -129,6 +151,16 @@ def test_readme_config_examples_load(tmp_path):
         path = tmp_path / f"readme{k}.ini"
         path.write_text(block)
         load_config(path)
+
+
+def test_readme_library_use_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].passed
+    assert abs(namespace["result"].c_star - 1.2) <= 1e-3
+    assert namespace["J"] == pytest.approx(namespace["cells"].sum(), rel=0, abs=1e-9)
 
 
 class TestBoundsCommand:
@@ -321,6 +353,50 @@ directory = {out}
             prof = read_csv(path, _sc(0.6))
             assert np.array_equal(prof.grid.nodes, res.profile.grid.nodes)
             assert np.array_equal(prof.values, res.profile.values)
+
+
+    @pytest.mark.parametrize("line, kappa", [("penalty_kappa = 7.5", 7.5), ("", 1e3)])
+    def test_penalty_kappa_reaches_every_descent(self, tmp_path, monkeypatch, line, kappa):
+        # every descent builds one operator; each must carry the configured
+        # weight, or the MinimizeOptions default when the key is left out
+        built, descents = [], []
+        operator, descent = gradwave.minimize.WeightedEnergy, gradwave.minimize._descent
+
+        def spy_operator(*args, **kwargs):
+            op = operator(*args, **kwargs)
+            built.append(op.kappa)
+            return op
+
+        def spy_descent(*args, **kwargs):
+            descents.append(args[4].penalty_kappa)
+            return descent(*args, **kwargs)
+
+        monkeypatch.setattr(gradwave.minimize, "WeightedEnergy", spy_operator)
+        monkeypatch.setattr(gradwave.minimize, "_descent", spy_descent)
+        cfg = write_config(tmp_path, f"""
+[potential]
+variant = decoupled_quartic
+alpha = 0.6
+beta = 1.2
+
+[grid]
+h = 0.05
+
+[solver]
+opt_tol = 1e-5
+{line}
+
+[mode]
+c_list = 0.8, 1.6
+
+[output]
+directory = {tmp_path / "out"}
+""")
+        assert main(["gamma", "--config", cfg]) == 0
+        # the cold first speed races one seed per well and descends the best;
+        # the second speed is warm-started
+        assert len(descents) >= 4
+        assert built == descents == [kappa] * len(descents)
 
 
 class TestSpeedCommand:

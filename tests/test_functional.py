@@ -7,16 +7,24 @@ from gradwave import (
     FunctionalParams,
     Grid,
     Profile,
+    WeightedEnergy,
     WeightOverflowError,
     compute_bounds,
     energy,
-    energy_gradient,
-    penalty_energy,
     segment_profile,
     shift,
 )
-from gradwave.functional import objective
 from conftest import J_WAVE_C03, PENALTY_CELL, X0_TANH
+
+
+def objective(op, values):
+    """Energy plus penalty, the quantity the minimizer descends."""
+    J, P, _ = op.value(values)
+    return J + P
+
+
+def gradient(op, values):
+    return op.grad(values, op.spec.value(values))[0]
 
 
 def dip_profile(spec):
@@ -92,13 +100,14 @@ class TestPenalty:
     def test_feasible_profile_no_penalty(self, scalar_spec, scalar_consts):
         g = Grid.uniform(-30.0, 15.0, 0.01)
         p = segment_profile(scalar_spec, g, scalar_consts.point_a)
-        assert penalty_energy(scalar_spec, FunctionalParams(c=1.0), p) == pytest.approx(0.0, abs=1e-16)
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=1.0), g, kappa=1e3)
+        assert op.value(p.values)[1] == pytest.approx(0.0, abs=1e-16)
 
     def test_dip_cell_matches_closed_form(self, scalar_spec):
         # potential dips to -0.1 on the cell [1, 2]; closed-form weight
         # integral gives kappa * 0.01 * (e^2 - e)
         p, _ = dip_profile(scalar_spec)
-        pen = penalty_energy(scalar_spec, FunctionalParams(c=1.0, penalty_kappa=10.0), p)
+        pen = WeightedEnergy(scalar_spec, FunctionalParams(c=1.0), p.grid, kappa=10.0).value(p.values)[1]
         assert pen == pytest.approx(PENALTY_CELL, abs=0.02)
 
     def test_zero_kappa(self, scalar_spec, scalar_consts):
@@ -107,7 +116,7 @@ class TestPenalty:
         vals = p.values.copy()
         vals[g.index_zero + 10] = -0.5  # force an infeasible dip
         p2 = p.with_values(vals)
-        assert penalty_energy(scalar_spec, FunctionalParams(c=1.0, penalty_kappa=0.0), p2) == 0.0
+        assert WeightedEnergy(scalar_spec, FunctionalParams(c=1.0), g).value(p2.values)[1] == 0.0
 
 
 class TestGradient:
@@ -119,56 +128,46 @@ class TestGradient:
         g = Grid.uniform(-6.0, 5.0, 0.1)
         base = segment_profile(spec, g, consts.point_a)
         rng = np.random.default_rng(11)
-        params = FunctionalParams(c=0.9, penalty_kappa=50.0)
+        op = WeightedEnergy(spec, FunctionalParams(c=0.9), g, kappa=50.0)
         for _ in range(3):
             vals = base.values + 0.15 * rng.standard_normal(base.values.shape)
             vals[-1] = base.well_b
-            p = base.with_values(vals)
-            grad = energy_gradient(spec, params, p)
+            grad = gradient(op, vals)
             assert np.max(np.abs(grad[-1])) == 0.0
             eps = 1e-6
             for i in rng.choice(g.n_nodes - 1, size=12, replace=False):
-                for k in range(p.dim):
+                for k in range(spec.dim):
                     vp, vm = vals.copy(), vals.copy()
                     vp[i, k] += eps
                     vm[i, k] -= eps
-                    fd = (
-                        objective(spec, params, p.with_values(vp))
-                        - objective(spec, params, p.with_values(vm))
-                    ) / (2 * eps)
+                    fd = (objective(op, vp) - objective(op, vm)) / (2 * eps)
                     assert grad[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
     def test_matches_with_active_penalty(self, scalar_spec):
         p, dip = dip_profile(scalar_spec)
-        params = FunctionalParams(c=1.0, penalty_kappa=10.0)
-        assert penalty_energy(scalar_spec, params, p) > 0
-        grad = energy_gradient(scalar_spec, params, p)
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=1.0), p.grid, kappa=10.0)
+        assert op.value(p.values)[1] > 0
+        grad = gradient(op, p.values)
         eps = 1e-6
         for i in dip:
             vp, vm = p.values.copy(), p.values.copy()
             vp[i, 0] += eps
             vm[i, 0] -= eps
-            fd = (
-                objective(scalar_spec, params, p.with_values(vp))
-                - objective(scalar_spec, params, p.with_values(vm))
-            ) / (2 * eps)
+            fd = (objective(op, vp) - objective(op, vm)) / (2 * eps)
             assert grad[i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
     def test_matches_on_refined_grid(self, scalar_spec, scalar_consts):
         g = Grid.refined(-5.0, 4.0, 0.2, h_min=0.02)
         p = segment_profile(scalar_spec, g, scalar_consts.point_a)
-        params = FunctionalParams(c=0.7)
-        grad = energy_gradient(scalar_spec, params, p)
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.7), g, kappa=1e3)
+        grad = gradient(op, p.values)
         rng = np.random.default_rng(5)
         eps = 1e-6
         for i in rng.choice(g.n_nodes - 1, size=10, replace=False):
             vp, vm = p.values.copy(), p.values.copy()
             vp[i, 0] += eps
             vm[i, 0] -= eps
-            fd = (
-                objective(scalar_spec, params, p.with_values(vp))
-                - objective(scalar_spec, params, p.with_values(vm))
-            ) / (2 * eps)
+            fd = (objective(op, vp) - objective(op, vm)) / (2 * eps)
             assert grad[i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 

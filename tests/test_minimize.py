@@ -109,14 +109,12 @@ class TestMinimizeScalar:
         assert abs(cold.gamma - results[idx].gamma) <= 5e-3
 
     def test_monotone_improvement_over_start(self, scalar_spec, scalar_consts):
-        from gradwave.functional import objective
-
         grid = Grid.uniform(-30.0, 15.0, 0.02)
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
-        params = FunctionalParams(c=0.5)
-        res = minimize_profile(scalar_spec, scalar_consts, params, grid, init,
-                               MinimizeOptions(opt_tol=1e-6))
-        assert res.gamma <= objective(scalar_spec, params, init) + 1e-12
+        params, opts = FunctionalParams(c=0.5), MinimizeOptions(opt_tol=1e-6)
+        res = minimize_profile(scalar_spec, scalar_consts, params, grid, init, opts)
+        J, P, _ = WeightedEnergy(scalar_spec, params, grid, opts.penalty_kappa).value(init.values)
+        assert res.gamma <= J + P + 1e-12
 
     def test_non_convergence_flagged(self, scalar_spec, scalar_consts):
         grid = Grid.uniform(-20.0, 12.0, 0.05)
@@ -171,6 +169,27 @@ class TestMultistart:
                               grid, init, opts)
         assert r1.gamma == r2.gamma
         assert np.array_equal(r1.profile.values, r2.profile.values)
+
+
+class TestOptions:
+    def test_defaults(self):
+        opts = MinimizeOptions()
+        assert (opts.opt_tol, opts.max_iters, opts.feas_tol, opts.penalty_kappa) == (
+            1e-8, 200_000, 1e-8, 1e3)
+        assert MinimizeOptions(penalty_kappa=0.0).penalty_kappa == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("feas_tol", 0.0), ("feas_tol", -1e-8), ("feas_tol", float("nan")),
+        ("penalty_kappa", -1.0), ("penalty_kappa", float("nan")),
+        ("opt_tol", float("nan")), ("max_iters", 0),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        # NaN must fail too: with feas_tol = nan no violation would exceed it,
+        # and with penalty_kappa = nan the penalty would silently switch off
+        from gradwave import ContractViolationError
+
+        with pytest.raises(ContractViolationError, match=field):
+            MinimizeOptions(**{field: value})
 
 
 class TestErrors:
@@ -257,14 +276,14 @@ def perturbed_profile(spec, consts):
     base = segment_profile(spec, g, consts.point_a)
     vals = base.values + 0.15 * np.random.default_rng(11).standard_normal(base.values.shape)
     vals[-1] = base.well_b
-    return base.with_values(vals), FunctionalParams(c=0.9, penalty_kappa=50.0)
+    return base.with_values(vals), FunctionalParams(c=0.9), 50.0
 
 
 class TestBandHessian:
     """The assembled Hessian against central differences of the exact gradient."""
 
-    def check(self, spec, profile, params):
-        op = WeightedEnergy(spec, params, profile.grid)
+    def check(self, spec, profile, params, kappa):
+        op = WeightedEnergy(spec, params, profile.grid, kappa)
         u, iz, dim = profile.values, profile.grid.index_zero, spec.dim
         w = spec.value(u)
         g, dw = op.grad(u, w)
@@ -302,12 +321,11 @@ class TestBandHessian:
                                           scalar_consts, decoupled_consts):
         spec = scalar_spec if builtin == "scalar" else decoupled_spec
         consts = scalar_consts if builtin == "scalar" else decoupled_consts
-        profile, params = perturbed_profile(spec, consts)
-        self.check(spec, profile, params)
+        self.check(spec, *perturbed_profile(spec, consts))
 
     def test_matches_with_active_penalty(self, scalar_spec):
         profile, dip = dip_profile(scalar_spec)
-        op, w = self.check(scalar_spec, profile, FunctionalParams(c=1.0, penalty_kappa=10.0))
+        op, w = self.check(scalar_spec, profile, FunctionalParams(c=1.0), 10.0)
         assert np.all(w[dip] < 0) and op.kappa > 0
 
     def test_indefinite_hessian_shifted_by_lumped_mass(self, scalar_spec):
@@ -350,11 +368,11 @@ class TestBareBandFactorisation:
     def system(self, spec, consts, hilltop):
         # left of 0 the hilltop profile sits where W'' < 0, which makes the
         # Hessian indefinite
-        profile, params = perturbed_profile(spec, consts)
+        profile, params, kappa = perturbed_profile(spec, consts)
         u, iz = profile.values.copy(), profile.grid.index_zero
         if hilltop:
             u[:iz] = 0.3
-        op = WeightedEnergy(spec, params, profile.grid)
+        op = WeightedEnergy(spec, params, profile.grid, kappa)
         w = spec.value(u)
         g, dw = op.grad(u, w)
         return op, _band_hessian(op, u, w, dw, g[iz]), g
@@ -394,7 +412,7 @@ def first_order_descent(spec, params, grid, values0, opts):
     _FLOOR_PG_CAP = 1e-5
     _PLATEAU_SPAN = 60
     _PLATEAU_F_GAIN = 3e-11
-    op = WeightedEnergy(spec, params, grid)
+    op = WeightedEnergy(spec, params, grid, opts.penalty_kappa)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
     d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)

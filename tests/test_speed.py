@@ -151,7 +151,7 @@ class TestSubgrid:
         g = Grid.uniform(-60.0, 20.0, 0.05)
         sub = speed_subgrid(g, scalar_consts, 1.2)
         p = segment_profile(scalar_spec, g, scalar_consts.point_a)
-        q = transfer_profile(p, sub, scalar_spec.well_b)
+        q = transfer_profile(p, sub)
         assert np.array_equal(q.values[-1], scalar_spec.well_b)
         mid = sub.index_zero
         assert q.values[mid, 0] == pytest.approx(p.values[g.index_zero, 0], abs=1e-12)
@@ -184,12 +184,12 @@ def logged_find_speed(spec, consts, alter=None, cold_final=False):
     real = speed.gamma_at
     final_opts = MinimizeOptions()
 
-    def logged(spec, consts, grid, c, opts, seeds, warm_from=None, penalty_kappa=1e3):
+    def logged(spec, consts, grid, c, opts, seeds, warm_from=None):
         if cold_final and opts is final_opts:
             # the probes run on a copy with a looser tolerance; the final
             # solve gets the caller's options
             warm_from = None
-        res = real(spec, consts, grid, c, opts, seeds, warm_from, penalty_kappa)
+        res = real(spec, consts, grid, c, opts, seeds, warm_from)
         warm = warm_from is not None
         calls.append((c, warm))
         return res if alter is None else alter(c, warm, res)

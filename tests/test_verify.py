@@ -22,7 +22,8 @@ from gradwave import (
     segment_profile,
     user_polynomial,
 )
-from gradwave import verify
+from gradwave import derivative, verify
+from gradwave.functional import cell_weights
 from gradwave.verify import (
     el_residual,
     first_integral_residual,
@@ -91,6 +92,78 @@ def constant_profile(value, grid, well_b):
     vals = np.tile(np.asarray(value, dtype=float), (grid.n_nodes, 1))
     vals[-1] = well_b
     return Profile(grid=grid, values=vals, well_b=np.asarray(well_b, dtype=float))
+
+
+def centered_reference(x, f):
+    """The three-point interior stencil as first written, in verify and in derivative."""
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    if f.ndim == 2:
+        hm, hp = hm[:, None], hp[:, None]
+    return (
+        -hp / (hm * (hm + hp)) * f[:-2]
+        + (hp - hm) / (hm * hp) * f[1:-1]
+        + hm / (hp * (hm + hp)) * f[2:]
+    )
+
+
+def first_integral_reference(spec, c, profile):
+    """first_integral_residual as first written, on centered_reference."""
+    x, u, iz = profile.grid.nodes, profile.values, profile.grid.index_zero
+    der = derivative(profile)
+    w = spec.value(u)
+    speed2 = np.sum(der.values * der.values, axis=1)
+    out = 0.0
+    for sl, end, slope in ((slice(None, iz + 1), -1, der.left_at_zero),
+                           (slice(iz, None), 0, der.right_at_zero)):
+        s2 = speed2[sl].copy()
+        s2[end] = float(np.dot(slope, slope))
+        xi = 0.5 * s2 - w[sl]
+        res = centered_reference(x[sl], xi) + c * s2[1:-1]
+        out = max(out, float(np.max(np.abs(res))))
+    return out
+
+
+def halfline_energies_reference(spec, c, profile):
+    """The half-line energies as first written, from cell_weights."""
+    x, u, iz = profile.grid.nodes, profile.values, profile.grid.index_zero
+    E = cell_weights(profile.grid, FunctionalParams(c=c))
+    h = np.diff(x)
+    w = spec.value(u)
+    du = (u[1:] - u[:-1]) / h[:, None]
+    kin = 0.5 * np.sum(du * du, axis=1)
+    g = E * (kin + 0.5 * (w[:-1] + w[1:]))
+    return float(np.sum(g[iz:])), float(np.sum(g[:iz])), float(np.sum(2.0 * kin[iz:] * h[iz:]))
+
+
+class TestSharedKernels:
+    """The stencil and the cell energies verification now shares give the former bits."""
+
+    @pytest.fixture
+    def refined_wave(self):
+        grid = Grid.refined(-30.0, 20.0, 0.05)
+        vals = np.tanh(grid.nodes + X0_TANH)[:, None]
+        vals[-1] = 1.0
+        return Profile(grid=grid, values=vals, well_b=np.array([1.0]))
+
+    def test_derivative_bit_equal(self, refined_wave):
+        grid = refined_wave.grid
+        rng = np.random.default_rng(8)
+        vals = np.column_stack([refined_wave.values[:, 0], rng.standard_normal(grid.n_nodes)])
+        vals[-1] = [1.0, 0.5]
+        p = Profile(grid=grid, values=vals, well_b=vals[-1])
+        got = derivative(p).values[1:-1]
+        assert got.tobytes() == centered_reference(grid.nodes, vals).tobytes()
+
+    @pytest.mark.parametrize("c", [0.6, 0.9])
+    def test_first_integral_bit_equal(self, scalar_spec, refined_wave, c):
+        got = first_integral_residual(scalar_spec, c, refined_wave)
+        assert got == first_integral_reference(scalar_spec, c, refined_wave)
+
+    @pytest.mark.parametrize("c", [0.6, 0.9])
+    def test_halfline_energies_bit_equal(self, scalar_spec, refined_wave, c):
+        got = verify._halfline_energies(scalar_spec, c, refined_wave)
+        assert got == halfline_energies_reference(scalar_spec, c, refined_wave)
 
 
 class TestOdeResidual:
