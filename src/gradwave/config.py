@@ -140,7 +140,7 @@ def load_config(path) -> RunConfig:
                     f"potential.terms: each term needs a coefficient and {dim} exponents, got '{chunk}'"
                 )
             try:
-                coeff = float(parts[0])
+                coeff = _finite(parts[0], "potential", "terms")
                 exps = [int(p) for p in parts[1:]]
             except ValueError:
                 raise ConfigError(f"potential.terms: malformed term '{chunk}'")

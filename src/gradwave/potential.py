@@ -727,9 +727,9 @@ def find_equilibria(spec: PotentialSpec) -> list[np.ndarray]:
     starts advanced together: each iteration makes one gradient, one Hessian
     and one solve call on the starts still running, and a backtracking line
     search (lam = 1, 1/2, ... while lam > 1e-6) accepts the first step that
-    lowers |DW|.  A start stops when |DW| <= tol (converged), when its
+    lowers |DW|.  A start stops when |DW| <= EQ_TOL (converged), when its
     Hessian is singular or its line search finds no decrease (failed), or
-    after ``max_iter`` iterations (failed).  Converged roots inside the box
+    after EQ_MAX_ITER iterations (failed).  Converged roots inside the box
     with W < -NEG_TOL are deduplicated in start order.  This realizes the
     equilibria set that the left tail of a wave profile can approach.
     """

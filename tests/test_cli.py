@@ -101,21 +101,23 @@ alpha = 0.6
 """)
         assert main(["gamma", "--config", cfg]) == 1
 
-    # each of these once ended in a traceback, exited 2 as a solver error, or
-    # (penalty_kappa = nan) silently switched the penalty off
+    # without the check these end in a traceback, exit 2 as solver errors, or
+    # (penalty_kappa = nan) silently switch the penalty off
     @pytest.mark.parametrize("key, potential, extra", [
         ("potential.box", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; -1.0 2\n"
                           "well_b = 1.0\nbox = -2:abc", ""),
+        ("potential.terms", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; nan 3; -1.0 2\n"
+                            "well_b = 1.0\nbox = -2:2", ""),
         ("grid.x_left", SCALAR, "[grid]\nx_left = nan\nh = 0.05\n[mode]\nc = 0.6"),
         ("grid.x_right", SCALAR, "[grid]\nx_right = inf\nh = 0.05\n[mode]\nc = 0.6"),
         ("mode.c_list", SCALAR, "[grid]\nh = 0.05\n[mode]\nc_list = 0.5, nan"),
         ("solver.penalty_kappa", SCALAR,
          "[grid]\nh = 0.05\n[solver]\npenalty_kappa = nan\n[mode]\nc = 0.6"),
-    ], ids=["box", "x_left", "x_right", "c_list", "penalty_kappa"])
+    ], ids=["box", "terms", "x_left", "x_right", "c_list", "penalty_kappa"])
     def test_bad_number_exits_1_and_names_key(self, tmp_path, capsys, key, potential, extra):
         cfg = write_config(tmp_path, f"[potential]\n{potential}\n{extra}\n"
                                      f"[output]\ndirectory = {tmp_path / 'out'}\n")
-        command = "bounds" if key == "potential.box" else "gamma"
+        command = "bounds" if key.startswith("potential.") else "gamma"
         assert main([command, "--config", cfg]) == 1
         assert key in capsys.readouterr().err
 
