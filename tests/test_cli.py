@@ -155,7 +155,7 @@ def test_readme_config_examples_load(tmp_path):
         load_config(path)
 
 
-def test_readme_library_use_runs(capsys):
+def test_readme_library_use_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
     namespace = {}
@@ -355,7 +355,6 @@ directory = {out}
             prof = read_csv(path, _sc(0.6))
             assert np.array_equal(prof.grid.nodes, res.profile.grid.nodes)
             assert np.array_equal(prof.values, res.profile.values)
-
 
     @pytest.mark.parametrize("line, kappa", [("penalty_kappa = 7.5", 7.5), ("", 1e3)])
     def test_penalty_kappa_reaches_every_descent(self, tmp_path, monkeypatch, line, kappa):
