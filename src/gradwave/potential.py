@@ -14,6 +14,7 @@ single point (dim,) gives one (dim, dim) matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,6 +41,13 @@ FD_POINTS = 16
 EQ_PER_AXIS = 15
 EQ_TOL = 1e-10
 EQ_MAX_ITER = 60
+# points per grid_value call of the analysis: the box scan, the box faces and
+# the search window around b are evaluated in slabs of at most this many
+# points, so no array grows with the grid; the dim-1 and dim-2 scans (at most
+# 401^2 points) stay one call
+SLAB_POINTS = 2 ** 18
+# points per free axis on each face of the box in the boundary check
+FACE_PER_AXIS = 101
 
 
 @dataclass(frozen=True)
@@ -60,13 +68,16 @@ class PotentialSpec:
 
     ``grid_value`` maps a sequence of 1-D coordinate arrays, one per
     component, to W on their tensor grid, of shape
-    ``tuple(len(a) for a in axes)``; the analysis scans the box with it.  It
-    must agree with ``value`` to roundoff, not bit for bit.  Left unset, it
-    is derived from ``value``: one call on every grid point, stacked into
-    rows.  ``user_polynomial`` supplies a contraction of its term table (see
-    ``_Monomials.grid``) and ``decoupled_quartic`` the outer sum of its two
-    wells; a ``dataclasses.replace`` with a new ``value`` keeps the old grid
-    kernel, and the assumption checks reject the mismatch.
+    ``tuple(len(a) for a in axes)``.  The analysis calls it on slabs of the
+    box scan, on each face of the box and on the window of the scan around
+    b, each of at most ``SLAB_POINTS`` points, so it must accept any
+    sub-axes of those grids.  It must agree with ``value`` to roundoff, not
+    bit for bit.  Left unset, it is derived from ``value``: one call on
+    every grid point, stacked into rows.  ``user_polynomial`` supplies a
+    contraction of its term table (see ``_Monomials.grid``) and
+    ``decoupled_quartic`` the outer sum of its two wells; a
+    ``dataclasses.replace`` with a new ``value`` keeps the old grid kernel,
+    and the assumption checks reject the mismatch.
     """
 
     dim: int
@@ -452,8 +463,10 @@ def validate_spec(spec: PotentialSpec) -> None:
 def _check_assumptions(spec: PotentialSpec):
     """The checks of ``validate_spec``, returning what they computed.
 
-    Returns the Hessian eigenvalues at b, the scan axes of the box and W on
-    their tensor grid, so that ``compute_constants`` evaluates the scan once.
+    Returns the Hessian eigenvalues at b, the scan axes of the box and the
+    least W on their tensor grid, so that ``compute_constants`` scans once.
+    The scan and each face of the box go through ``grid_value`` in slabs
+    (see ``_grid_min``); only their minima are kept.
     """
     b = spec.well_b
     if abs(float(spec.value(b))) > 1e-12:
@@ -476,13 +489,18 @@ def _check_assumptions(spec: PotentialSpec):
             raise AssumptionViolationError("grid value disagrees with the value callback")
 
     axes = _scan_axes(spec, _scan_resolution(spec.dim))
-    w = np.asarray(spec.grid_value(axes), dtype=float)
-    if not np.any(w < -NEG_TOL):
+    w_min = _grid_min(spec.grid_value, axes)
+    if not w_min < -NEG_TOL:
         raise AssumptionViolationError("no negative region found inside the bounding box")
 
-    bpts = _boundary_points(spec, per_axis=101)
-    if np.any(spec.value(bpts) < 0):
-        raise AssumptionViolationError("potential is negative on the bounding-box boundary")
+    # each face is the tensor grid with its own axis fixed at the bound
+    for k in range(spec.dim):
+        for side in (0, 1):
+            face = _scan_axes(spec, FACE_PER_AXIS)
+            face[k] = spec.bounding_box[k, side:side + 1]
+            if _grid_min(spec.grid_value, face) < 0:
+                raise AssumptionViolationError(
+                    "potential is negative on the bounding-box boundary")
 
     h = 1e-4
     for p in samples:
@@ -499,7 +517,7 @@ def _check_assumptions(spec: PotentialSpec):
             )
         if spec.point_gradient(p.tolist()) != g.tolist():
             raise AssumptionViolationError("point gradient disagrees with the gradient callback")
-    return eigs, axes, w
+    return eigs, axes, w_min
 
 
 def _scan_resolution(dim: int) -> int:
@@ -520,16 +538,39 @@ def _mesh_rows(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _boundary_points(spec: PotentialSpec, per_axis: int) -> np.ndarray:
-    pts = []
-    for k in range(spec.dim):
-        for side in (0, 1):
-            face_axes = [
-                np.linspace(lo, hi, per_axis) if j != k else np.array([spec.bounding_box[k, side]])
-                for j, (lo, hi) in enumerate(spec.bounding_box)
-            ]
-            pts.append(_mesh_rows(face_axes))
-    return np.concatenate(pts, axis=0)
+def _slabs(shape):
+    """Blocks of a grid of ``shape`` in C order, each a tuple of per-axis slices.
+
+    Each block holds at most SLAB_POINTS points: one index on each axis
+    before some axis j, a run of consecutive indices on axis j, and every
+    index of the later axes, where j is the first axis whose later axes hold
+    at most SLAB_POINTS points together.  The blocks partition the grid, and
+    each is a run of consecutive C-order points, after the one before it.
+    """
+    if 0 in shape:
+        return
+    j = 0
+    while math.prod(shape[j + 1:]) > SLAB_POINTS:
+        j += 1
+    rows = max(1, SLAB_POINTS // math.prod(shape[j + 1:]))
+    rest = tuple(slice(0, n) for n in shape[j + 1:])
+    for lead in itertools.product(*map(range, shape[:j])):
+        head = tuple(slice(i, i + 1) for i in lead)
+        for start in range(0, shape[j], rows):
+            yield head + (slice(start, min(start + rows, shape[j])),) + rest
+
+
+def _grid_min(grid_value, axes) -> float:
+    """The least W on the tensor grid over ``axes``, one ``grid_value`` call per slab.
+
+    NaN values are skipped, as a comparison with them is false; NaN only if
+    every value is NaN.
+    """
+    low = math.nan
+    for block in _slabs([len(a) for a in axes]):
+        w = np.asarray(grid_value([a[s] for a, s in zip(axes, block)]), dtype=float)
+        low = float(np.fmin(low, np.fmin.reduce(w, axis=None)))
+    return low
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float, xatol: float):
@@ -564,7 +605,7 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     AssumptionViolationError if no negative equilibrium is found, or if the
     scan goes lower than the deepest one.
     """
-    eigs, axes, w = _check_assumptions(spec)
+    eigs, axes, w_min = _check_assumptions(spec)
     b = spec.well_b
 
     # deepest well: the lowest equilibrium.  W is negative somewhere inside
@@ -577,7 +618,6 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     eq_vals = np.asarray(spec.value(np.array(equilibria)), dtype=float)
     lowest = int(np.argmin(eq_vals))
     m, point_a = -float(eq_vals[lowest]), equilibria[lowest]
-    w_min = float(w.min())
     if w_min < -m - NEG_TOL:
         raise AssumptionViolationError(
             f"the scan reaches W = {w_min:.6g}, below the deepest equilibrium found "
@@ -596,9 +636,9 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     # distance from b to the negative region: the nearest negative scan
     # points, refined by bisecting each segment from b for its first sign
     # change.  Only their coordinates are rebuilt from the scan indices.
-    flat, dist = _nearest_negative(axes, w, b, 16)
+    flat, dist = _nearest_negative(axes, spec.grid_value, b, 16)
     d = float(dist[0])
-    index = np.unravel_index(flat, w.shape)
+    index = np.unravel_index(flat, [len(axis) for axis in axes])
     near = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
     lengths = _row_norms(near - b)
     for t_cross, length in zip(_first_negative_crossings(spec, b, near), lengths):
@@ -611,7 +651,7 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
                               mu=float(eigs[0]), equilibria=tuple(equilibria))
 
 
-def _nearest_negative(axes, w: np.ndarray, b, k: int):
+def _nearest_negative(axes, grid_value, b, k: int):
     """Flat scan indices and distances to b of the k nearest points with W < -NEG_TOL.
 
     Ordered by (distance, index), as ``_smallest`` orders the distances of
@@ -621,11 +661,14 @@ def _nearest_negative(axes, w: np.ndarray, b, k: int):
     points whose offset from b is at most r, with r doubled from four scan
     steps until the ball of radius r holds k negative points or the window
     is the whole grid.  Every point outside the window is farther than r,
-    and C order inside the window keeps the grid's index order, so the
-    window finds the same points as the whole grid.
+    so the window finds the same points as the whole grid.  W is evaluated
+    only on the window, by ``grid_value`` on its sub-axes, one call per
+    slab (see ``_slabs``); the k nearest of each slab are merged by
+    (distance, index).
     """
     sq = [(axis - bk) ** 2 for axis, bk in zip(axes, b)]
     offsets = [np.sqrt(s) for s in sq]
+    shape = [len(axis) for axis in axes]
     reach = max(float(o.max()) for o in offsets)
     step = max(float(axis[1] - axis[0]) for axis in axes)
     r = min(4.0 * step, reach) if step > 0 else reach
@@ -634,18 +677,27 @@ def _nearest_negative(axes, w: np.ndarray, b, k: int):
         for o in offsets:
             inside = np.flatnonzero(o <= r)
             spans.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
-        d2 = sq[0][spans[0]]
-        for s, span in zip(sq[1:], spans[1:]):
-            d2 = np.add.outer(d2, s[span])
-        neg = np.flatnonzero(w[tuple(spans)] < -NEG_TOL)
-        dist = np.sqrt(d2.ravel()[neg])
-        if r >= reach or np.count_nonzero(dist <= r) >= k:
-            break
+        flat, dist, count = [np.empty(0, dtype=np.intp)], [np.empty(0)], 0
+        for part in _slabs([span.stop - span.start for span in spans]):
+            block = [slice(span.start + s.start, span.start + s.stop)
+                     for span, s in zip(spans, part)]
+            d2 = sq[0][block[0]]
+            for s, rows in zip(sq[1:], block[1:]):
+                d2 = np.add.outer(d2, s[rows])
+            w = np.asarray(grid_value([axis[s] for axis, s in zip(axes, block)]), dtype=float)
+            neg = np.flatnonzero(w < -NEG_TOL)
+            near = np.sqrt(d2.ravel()[neg])
+            count += np.count_nonzero(near <= r)
+            keep = _smallest(near, k)
+            local = np.unravel_index(neg[keep], d2.shape)
+            flat.append(np.ravel_multi_index(
+                tuple(i + s.start for i, s in zip(local, block)), shape))
+            dist.append(near[keep])
+        if r >= reach or count >= k:
+            flat, dist = np.concatenate(flat), np.concatenate(dist)
+            order = np.lexsort((flat, dist))[:k]
+            return flat[order], dist[order]
         r = min(2.0 * r, reach)
-    order = _smallest(dist, k)
-    local = np.unravel_index(neg[order], d2.shape)
-    flat = np.ravel_multi_index(tuple(i + span.start for i, span in zip(local, spans)), w.shape)
-    return flat, dist[order]
 
 
 def _smallest(x: np.ndarray, k: int) -> np.ndarray:
@@ -668,8 +720,10 @@ def _first_negative_crossings(spec: PotentialSpec, b, points) -> list:
 
     Each segment is sampled at 2001 values of t, all in one value
     call; None where no sample is below -NEG_TOL, 0.0 where the first one
-    is.  The others are bisected together to ~1e-14, 80 halvings of one
-    value call each, so every t is the one a point-by-point bisection finds.
+    is.  The others are bisected together to ~1e-14, up to 80 halvings of
+    one value call each, so every t is the one a point-by-point bisection
+    finds.  The halvings stop early once one leaves every bracket as it was:
+    the next would evaluate the same midpoints and leave them again.
     """
     ts = np.linspace(0.0, 1.0, 2001)
     steps = points - b
@@ -684,8 +738,11 @@ def _first_negative_crossings(spec: PotentialSpec, b, points) -> list:
         for _ in range(80):
             t_mid = 0.5 * (t_lo + t_hi)
             neg = np.asarray(spec.value(b + t_mid[:, None] * steps[open_]), dtype=float) < 0
-            t_hi = np.where(neg, t_mid, t_hi)
-            t_lo = np.where(neg, t_lo, t_mid)
+            hi_next = np.where(neg, t_mid, t_hi)
+            lo_next = np.where(neg, t_lo, t_mid)
+            if np.array_equal(hi_next, t_hi) and np.array_equal(lo_next, t_lo):
+                break
+            t_lo, t_hi = lo_next, hi_next
         for i, t in zip(open_, 0.5 * (t_lo + t_hi)):
             out[i] = float(t)
     return out

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -635,8 +636,22 @@ class TestPotentialAnalysedOnce:
         find_equilibria = counted("find_equilibria", gradwave.potential.find_equilibria)
         for module in (gradwave.potential, gradwave.cli, gradwave.verify):
             monkeypatch.setattr(module, "find_equilibria", find_equilibria)
-        # the scan is the one grid_value call over more than a single point;
-        # the assumption checks also probe the kernel at one-point grids
+        # the multi-point grid_value calls are the scan's slabs, the box's
+        # faces and the search windows around b; the assumption checks also
+        # probe the kernel at one-point grids.  Calls made while the search
+        # for d runs are its windows
+        points = {"scan": collections.Counter(), "window": collections.Counter()}
+        in_window = []
+        nearest_negative = gradwave.potential._nearest_negative
+
+        def nearest_counted(*args):
+            in_window.append(True)
+            try:
+                return nearest_negative(*args)
+            finally:
+                in_window.pop()
+
+        monkeypatch.setattr(gradwave.potential, "_nearest_negative", nearest_counted)
         build_potential = gradwave.cli.build_potential
 
         def build_counted(cfg):
@@ -644,7 +659,8 @@ class TestPotentialAnalysedOnce:
 
             def grid_value(axes):
                 if any(len(a) > 1 for a in axes):
-                    calls["grid_value scan"] += 1
+                    kind = "window" if in_window else "scan"
+                    points[kind].update(itertools.product(*(a.tolist() for a in axes)))
                 return spec.grid_value(axes)
             return dataclasses.replace(spec, grid_value=grid_value)
 
@@ -652,10 +668,22 @@ class TestPotentialAnalysedOnce:
 
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=out))
+        # scalar_cubic's faces are single points: every multi-point call
+        # outside the windows belongs to the scan, which covers its 401
+        # points once; the windows stay inside it
+        scan = collections.Counter((x,) for x in np.linspace(-2.0, 2.0, 401).tolist())
+
+        def analysed_once():
+            assert points["scan"] == scan
+            assert points["window"] and set(points["window"]) <= set(scan)
+            assert calls == {"find_equilibria": 1}
+
         assert main(["speed", "--config", cfg]) == 0
-        assert calls == {"find_equilibria": 1, "grid_value scan": 1}
+        analysed_once()
 
         calls.clear()
+        for counter in points.values():
+            counter.clear()
         c_star = json.loads((out / "report.json").read_text())["result"]["c_star"]
         cfg2 = write_config(tmp_path, f"""
 [potential]
@@ -669,7 +697,7 @@ c = {c_star!r}
 directory = {tmp_path / "out2"}
 """, name="verify.ini")
         assert main(["verify", "--config", cfg2, "--profile", str(out / "wave.csv")]) == 0
-        assert calls == {"find_equilibria": 1, "grid_value scan": 1}
+        analysed_once()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -36,12 +36,15 @@ from gradwave.potential import (
     _Monomials,
     _check_assumptions,
     _distinct_in_order,
+    _first_negative_crossings,
+    _grid_min,
     _mesh_rows,
     _nearest_negative,
     _quartic_well,
     _row_norms,
     _scan_axes,
     _scan_resolution,
+    _slabs,
     _smallest,
     golden_section_min,
     well_minima,
@@ -752,7 +755,12 @@ def negative_masks(draw):
 @given(case=negative_masks())
 def test_window_search_matches_full_grid(case):
     axes, w, b = case
-    flat, dist = _nearest_negative(axes, w, b, 16)
+
+    def window_value(sub):
+        # the sub-axes are runs of the increasing scan axes: look their values up
+        return w[np.ix_(*[np.searchsorted(axis, s) for axis, s in zip(axes, sub)])]
+
+    flat, dist = _nearest_negative(axes, window_value, b, 16)
     ref_flat, ref_dist = full_grid_nearest_negative(axes, w, b, 16)
     np.testing.assert_array_equal(flat, ref_flat)
     assert np.array_equal(dist, ref_dist)
@@ -788,18 +796,162 @@ def test_distinct_in_order_keeps_chain_ends():
     np.testing.assert_array_equal(_distinct_in_order(roots, 1e-6), roots[[0, 2]])
 
 
-def test_constants_peak_memory_is_about_one_scan():
-    # the scan W itself is the one full-grid array: the search for d looks
-    # in a window around b, so no other temporary is the size of the grid
-    spec = REFERENCE_SPECS["poly3"]()
-    scan_bytes = _check_assumptions(spec)[2].nbytes
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call of fn."""
     tracemalloc.start()
     try:
-        compute_constants(spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * scan_bytes
+
+
+def test_constants_peak_memory_is_a_few_slabs():
+    # no array of the analysis grows with the grid: the scan, the box faces
+    # and the search window go through grid_value in slabs of SLAB_POINTS
+    # points, 2 MB each, against 33 MB for poly3's whole 161^3 scan
+    spec = REFERENCE_SPECS["poly3"]()
+    assert traced_peak(compute_constants, spec) <= 8e6
+
+
+def test_four_component_sum_analyses_in_bounded_memory():
+    # the sum of four quartic wells in the box [-3, 3]^4: its 38^4 scan and
+    # its eight faces of 101^3 points took 544 MB as whole arrays
+    spec = user_polynomial(4, quartic_well_terms((0.6, 0.9, 1.2, 0.75)), [1.0] * 4,
+                           [[-3.0, 3.0]] * 4)
+    assert traced_peak(compute_constants, spec) <= 16e6
+    # m = sum of 4 c_k / 3 over the wells
+    assert abs(compute_constants(spec).m - 4.6) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+       limit=st.integers(1, 100))
+def test_slabs_partition_the_grid_in_c_order(shape, limit):
+    with mock.patch.object(gradwave.potential, "SLAB_POINTS", limit):
+        blocks = list(_slabs(shape))
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    runs = [flat[block].ravel() for block in blocks]
+    assert all(0 < run.size <= limit for run in runs)
+    got = np.concatenate(runs) if runs else np.empty(0, dtype=int)
+    np.testing.assert_array_equal(got, np.arange(flat.size))
+
+
+def eighty_halving_crossings(spec, b, points) -> list:
+    """Reference for _first_negative_crossings: all 80 halvings, every time."""
+    ts = np.linspace(0.0, 1.0, 2001)
+    steps = points - b
+    lines = b + ts[:, None] * steps[:, None, :]
+    below = np.asarray(spec.value(lines.reshape(-1, spec.dim)), dtype=float).reshape(
+        len(points), ts.size) < -NEG_TOL
+    first = np.argmax(below, axis=1)
+    out = [None if not below[i, j] else 0.0 for i, j in enumerate(first)]
+    open_ = np.flatnonzero(first > 0)
+    if open_.size:
+        t_lo, t_hi = ts[first[open_] - 1], ts[first[open_]]
+        for _ in range(80):
+            t_mid = 0.5 * (t_lo + t_hi)
+            neg = np.asarray(spec.value(b + t_mid[:, None] * steps[open_]), dtype=float) < 0
+            t_hi = np.where(neg, t_mid, t_hi)
+            t_lo = np.where(neg, t_lo, t_mid)
+        for i, t in zip(open_, 0.5 * (t_lo + t_hi)):
+            out[i] = float(t)
+    return out
+
+
+def nearest_negative_points(spec, k=16):
+    """The k nearest negative scan points to b, as compute_constants finds them."""
+    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    flat, _ = _nearest_negative(axes, spec.grid_value, spec.well_b, k)
+    index = np.unravel_index(flat, [len(a) for a in axes])
+    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+
+
+@pytest.mark.parametrize("name", list(NEAREST_SPECS))
+def test_crossings_stop_halving_at_the_fixed_point(name):
+    spec = NEAREST_SPECS[name]()
+    near = nearest_negative_points(spec)
+    value_calls = []
+    counted = dataclasses.replace(
+        spec, value=lambda u: value_calls.append(1) or spec.value(u))
+    got = _first_negative_crossings(counted, spec.well_b, near)
+    assert got == eighty_halving_crossings(spec, spec.well_b, near)
+    assert any(t not in (None, 0.0) for t in got)
+    # one sampling call, and fewer halvings than 80: about 43 move a bracket
+    assert len(value_calls) <= 1 + 50
+
+
+def full_scan_constants(spec):
+    """Reference for compute_constants: its analysis on W over the whole scan at once."""
+    b = spec.well_b
+    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    w = spec.grid_value(axes)
+    equilibria = find_equilibria(spec)
+    eq_vals = np.asarray(spec.value(np.array(equilibria)), dtype=float)
+    lowest = int(np.argmin(eq_vals))
+    m, point_a = -float(eq_vals[lowest]), equilibria[lowest]
+    assert not w.min() < -m - NEG_TOL
+    step = b - point_a
+    ts = np.linspace(0.0, 1.0, _scan_resolution(spec.dim))
+    seg_vals = spec.value(point_a + np.multiply.outer(ts, step))
+    i = int(np.argmax(seg_vals))
+    t_lo, t_hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    _, neg_top = golden_section_min(
+        lambda t: -float(spec.value(point_a + t * step)), float(t_lo), float(t_hi), 1e-13)
+    flat, dist = full_grid_nearest_negative(axes, w, b, 16)
+    index = np.unravel_index(flat, w.shape)
+    near = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+    d = float(dist[0])
+    for t_cross, p in zip(eighty_halving_crossings(spec, b, near), near):
+        if t_cross is not None:
+            d = min(d, t_cross * float(np.linalg.norm(p - b)))
+    return {"m": m, "point_a": point_a, "M": max(0.0, -neg_top, float(seg_vals[i])), "d": d,
+            "mu": float(np.linalg.eigvalsh(spec.hessian(b))[0]), "equilibria": equilibria}
+
+
+STREAMED_SPECS = {
+    **REFERENCE_SPECS,
+    # the value-derived default kernel, on the rows of each slab
+    "poly3_default_grid": lambda: dataclasses.replace(REFERENCE_SPECS["poly3"](),
+                                                      grid_value=None),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED_SPECS))
+def test_streamed_scan_matches_the_whole_grid(name):
+    spec = STREAMED_SPECS[name]()
+    axes = _scan_axes(spec, _scan_resolution(spec.dim))
+    whole = float(spec.grid_value(axes).min())
+    assert abs(_grid_min(spec.grid_value, axes) - whole) <= 1e-13 * (1.0 + abs(whole))
+    if name == "singular_hessian":
+        # b is a degenerate minimum: the analysis stops before it scans
+        with pytest.raises(AssumptionViolationError, match="not positive definite"):
+            compute_constants(spec)
+        return
+    consts = compute_constants(spec)
+    want = full_scan_constants(spec)
+    for field in ("m", "M", "d", "mu"):
+        assert getattr(consts, field) == want[field], field
+    assert np.array_equal(consts.point_a, want["point_a"])
+    assert len(consts.equilibria) == len(want["equilibria"])
+    assert all(np.array_equal(q, r) for q, r in zip(consts.equilibria, want["equilibria"]))
+
+
+def test_negative_face_corner_is_rejected():
+    # W = |u|^2 - c prod_k u_k^2 (u_k + 2) on [-2, 2]^4 is negative on the box
+    # only at the corner (2, 2, 2, 2), the last point of the last slab of the
+    # face u_0 = 2, and positive at every other face grid point
+    dim, c = 4, 2.49e-4
+    terms = [(1.0, [2 if j == k else 0 for j in range(dim)]) for k in range(dim)]
+    for pick in itertools.product(((1.0, 3), (2.0, 2)), repeat=dim):
+        terms.append((-c * math.prod(f for f, _ in pick), [e for _, e in pick]))
+    spec = user_polynomial(dim, terms, [0.0] * dim, [[-2.0, 2.0]] * dim)
+    assert float(spec.value(np.full(dim, 2.0))) < 0
+    assert float(spec.value(np.array([2.0, 2.0, 2.0, 1.96]))) > 0
+    for check in (validate_spec, compute_constants):
+        with pytest.raises(AssumptionViolationError) as err:
+            check(spec)
+        assert str(err.value) == "potential is negative on the bounding-box boundary"
 
 
 def coupling_terms(eps, i, j, dim):
