@@ -104,15 +104,6 @@ class PotentialSpec:
                 lambda axes: np.asarray(value(_mesh_rows(axes)), dtype=float).reshape(
                     [len(a) for a in axes]))
 
-    def describe(self) -> dict:
-        return {
-            "variant": self.variant,
-            "dim": self.dim,
-            "params": list(self.params),
-            "well_b": self.well_b.tolist(),
-            "bounding_box": self.bounding_box.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class PotentialConstants:
@@ -256,16 +247,17 @@ class _Monomials:
 
     Built from (coefficient, exponents, slot) triples.  Evaluation maps
     (..., dim) to (..., n_slots) with multiplies only: powers come from
-    repeated multiplication, never from ``pow``.  A single point is evaluated
-    in plain floats by ``_point``, list in and list out: straight-line code
-    compiled once, here, from the table (its text is ``source``), with one
-    statement per term that adds the term's factors times its coefficient
-    into the slot's accumulator.  The coefficients are bound as names in the
-    function's namespace, so the source holds only identifiers and table
-    indices.  A batch is processed in row chunks by ``_rows``, so its
-    temporaries stay at O(chunk * dim * max exponent) however many rows it
-    has.  Both routes form each monomial, scale it and sum the terms in table
-    order with the same float operations, so they agree bit for bit.
+    repeated multiplication, never from ``pow``.  Every evaluation runs
+    ``_point``: straight-line code compiled once, here, from the table (its
+    text is ``source``), with one statement per term that adds the term's
+    factors times its coefficient into the slot's accumulator.  The
+    coefficients are bound as names in the function's namespace, so the
+    source holds only identifiers and table indices.  A single point goes in
+    as a list of floats; a batch goes in by chunks of CHUNK rows, each as its
+    columns, so the same statements run on arrays and the temporaries stay
+    at O(CHUNK * (dim * max exponent + n_slots)) however many rows it has.
+    Each element of a batch is computed with the float operations, in the
+    order, of the single point, so the two agree bit for bit.
     """
 
     CHUNK = 8192
@@ -288,9 +280,9 @@ class _Monomials:
     def _point_source(self) -> str:
         """Text of ``_point(x)``: powers, one accumulator per slot, one line per term.
 
-        ``a * b * c`` multiplies left to right, as ``_rows`` does; the sums
-        are sequential ``+=`` in table order (never ``sum``, which compensates
-        on Python >= 3.12).
+        ``a * b * c`` multiplies left to right; the sums are sequential
+        ``+=`` in table order (never ``sum``, which compensates on Python
+        >= 3.12).  ``x`` may be a list of floats or a (dim, n) array.
         """
         def power(k, e):
             return f"x{k}" if e == 1 else f"x{k}_{e}"
@@ -308,48 +300,27 @@ class _Monomials:
         if u.ndim == 1:
             return np.array(self._point(u.tolist()))
         rows = u.reshape(-1, self.dim)
-        return self._rows(rows).reshape(u.shape[:-1] + (self.n_slots,))
-
-    def _rows(self, u):
-        n = u.shape[0]
-        out = np.zeros((self.n_slots, n))
-        size = max(1, min(n, self.CHUNK))
-        powers = [np.empty((top + 1, size)) for top in self.top]
-        tmp_full = np.empty(size)
-        for start in range(0, n, size):
-            blk = u[start:start + size]
-            m = blk.shape[0]
-            for k, pk in enumerate(powers):
-                if len(pk) > 1:
-                    pk[1, :m] = blk[:, k]
-                for e in range(2, len(pk)):
-                    np.multiply(pk[e - 1, :m], pk[1, :m], out=pk[e, :m])
-            acc, tmp = out[:, start:start + m], tmp_full[:m]
-            for c, slot, factors in self.terms:
-                if not factors:
-                    acc[slot] += c
-                    continue
-                (k, e), *rest = factors
-                if rest:
-                    np.copyto(tmp, powers[k][e, :m])
-                    for k, e in rest:
-                        tmp *= powers[k][e, :m]
-                    tmp *= c
-                else:
-                    np.multiply(powers[k][e, :m], c, out=tmp)
-                acc[slot] += tmp
-        return out.T if self.n_slots == 1 else np.ascontiguousarray(out.T)
+        out = np.empty((len(rows), self.n_slots))
+        for start in range(0, len(rows), self.CHUNK):
+            # on a chunk's columns each accumulator broadcasts to an array;
+            # an empty slot stays 0.0, which the assignment broadcasts
+            sums = self._point(rows[start:start + self.CHUNK].T)
+            for j, s in enumerate(sums):
+                out[start:start + self.CHUNK, j] = s
+        return out.reshape(u.shape[:-1] + (self.n_slots,))
 
     def grid(self, axes) -> np.ndarray:
         """The first slot on the tensor grid over ``axes``, of shape ``(len(a) for a in axes)``.
 
         The terms are summed into a coefficient tensor over exponents, which
         is contracted with one power table ``np.vander(axis, top + 1)`` per
-        axis, last axis first: the last product is a single
-        ``(n0, top0 + 1) @ (top0 + 1, n1 * n2 ...)`` matmul whose result is
-        already the grid in C order.  The sums run in another order than
-        ``_rows`` and ``_point``, so the values agree with them to roundoff,
-        not bit for bit.
+        axis.  Axes of one point go first, each shrinking the tensor at once,
+        so a box face or a one-row slab never holds ``top + 1`` rows of a
+        fixed axis; the others follow last axis first, so the last product
+        is a single ``(n0, top0 + 1) @ (top0 + 1, n1 * n2 ...)`` matmul whose
+        result is already the grid in C order.  (Shortest first instead would
+        end in many tiny matmuls.)  The sums run in another order than
+        ``_point``, so the values agree with it to roundoff, not bit for bit.
         """
         g = np.zeros([top + 1 for top in self.top])
         for c, slot, factors in self.terms:
@@ -358,7 +329,7 @@ class _Monomials:
                 for k, e in factors:
                     exps[k] = e
                 g[tuple(exps)] += c
-        for k in reversed(range(self.dim)):
+        for k in sorted(reversed(range(self.dim)), key=lambda k: len(axes[k]) > 1):
             powers = np.vander(np.asarray(axes[k], dtype=float), self.top[k] + 1, increasing=True)
             lead, trail = g.shape[:k], g.shape[k + 1:]
             g = np.matmul(powers, g.reshape(math.prod(lead), self.top[k] + 1, -1))

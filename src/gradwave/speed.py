@@ -10,8 +10,9 @@ probes and final solve of ``find_speed``, ``wave_at_speed`` and the sweep of
 ``gamma_curve`` all go through it.  A cold solve starts from one segment
 profile per well; the segment's crossing of the zero set does not depend on
 the speed, so each of those three calls builds its seeds once on the whole
-grid (``well_seeds``) and every cold solve takes their slice on its own
-sub-grid.  Two robustness rules shape ``gamma_at`` and its callers:
+grid (``well_seeds``) and every cold solve resamples them onto its own
+sub-grid with ``transfer_profile``, as a warm start is resampled.  Two
+robustness rules shape ``gamma_at`` and its callers:
 
 * it runs on a sub-range of the caller's grid sized for its own speed (left
   end at -40/c, right end at 40 over the tail decay rate), which keeps the
@@ -104,7 +105,12 @@ def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
 
 
 def transfer_profile(profile: Profile, grid: Grid) -> Profile:
-    """Resample a profile onto another grid, extending by its end values."""
+    """Resample a profile onto another grid, extending by its end values.
+
+    At a node of the profile's own grid the resampled value is the stored
+    one bit for bit, so on a sub-range of that grid this is a slice of the
+    profile pinned to the well at its right end.
+    """
     vals = interpolate(profile, grid.nodes)
     vals[-1] = profile.well_b
     return Profile(grid=grid, values=vals, well_b=profile.well_b)
@@ -124,29 +130,11 @@ def well_seeds(spec: PotentialSpec, consts: PotentialConstants, grid: Grid) -> l
 
     Each carries its well's segment crossing (the bisected segment parameter
     and its projection onto the zero set), which does not depend on the
-    speed; a cold solve takes the slice of it on its own sub-grid.
+    speed; a cold solve resamples it onto its own sub-grid with
+    ``transfer_profile``, which there equals the segment profile built on
+    the sub-grid bit for bit.
     """
     return [segment_profile(spec, grid, p) for p in seed_points(spec, consts)]
-
-
-def cold_seeds(
-    consts: PotentialConstants, grid: Grid, c: float, seeds
-) -> tuple[Grid, list[Profile]]:
-    """The sub-grid at c and the slices on it of ``seeds``, the ``well_seeds`` of ``grid``.
-
-    Each slice, pinned to the well at its right end, equals bit for bit the
-    segment profile built on the sub-grid.
-    """
-    sub = speed_subgrid(grid, consts, c)
-    lo = grid.index_zero - sub.index_zero
-    inits = []
-    for seed in seeds:
-        if not np.array_equal(seed.grid.nodes, grid.nodes):
-            raise ContractViolationError("cold seeds must lie on the grid they are sliced from")
-        vals = seed.values[lo:lo + sub.n_nodes].copy()
-        vals[-1] = seed.well_b
-        inits.append(Profile(grid=sub, values=vals, well_b=seed.well_b))
-    return sub, inits
 
 
 def gamma_at(
@@ -160,16 +148,16 @@ def gamma_at(
 ) -> GammaResult:
     """Minimum energy at c on speed_subgrid(grid, consts, c).
 
-    Warm-started from ``warm_from`` (resampled onto the sub-grid) when given,
-    else raced cold from the slices of ``seeds``, the ``well_seeds`` of
-    ``grid``, on the sub-grid.
+    Warm-started from ``warm_from`` when given, else raced cold from
+    ``seeds``, the ``well_seeds`` of ``grid``; either start is resampled onto
+    the sub-grid with ``transfer_profile``.
     """
     params = FunctionalParams(c=c)
+    sub = speed_subgrid(grid, consts, c)
     if warm_from is not None:
-        sub = speed_subgrid(grid, consts, c)
         init = transfer_profile(warm_from, sub)
         return minimize_profile(spec, consts, params, sub, init, opts)
-    sub, inits = cold_seeds(consts, grid, c, seeds)
+    inits = [transfer_profile(seed, sub) for seed in seeds]
     return minimize_from_seeds(spec, consts, params, sub, inits, opts)
 
 
@@ -216,10 +204,10 @@ def find_speed(
     def lower_end(c: float) -> float:
         # any feasible profile bounds the minimum from above, so a cold seed
         # with negative energy settles the sign without a descent
-        sub, inits = cold_seeds(consts, grid, c, seeds)
+        sub = speed_subgrid(grid, consts, c)
         op = WeightedEnergy(spec, FunctionalParams(c=c), sub)
-        for seed in inits:
-            J, _, w = op.value(translate_to_crossing(spec, seed).values)
+        for seed in seeds:
+            J, _, w = op.value(translate_to_crossing(spec, transfer_profile(seed, sub)).values)
             if J < 0 and op.violation(w) <= probe_opts.feas_tol:
                 probes.append((c, J))
                 return J

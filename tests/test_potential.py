@@ -410,12 +410,22 @@ def assert_same_floats(got, want):
 
 
 def assert_kernel_matches_references(kernel, points):
-    for x in points:
-        want = loop_point(kernel, x)
+    wants = [loop_point(kernel, x) for x in points]
+    for x, want in zip(points, wants):
         assert_same_floats(kernel._point(x), want)
         with np.errstate(all="ignore"):
-            rows = kernel._rows(np.array([x], dtype=float))
+            rows = kernel(np.array([x], dtype=float))
         assert_same_floats(rows[0].tolist(), want)
+    # every point in one batch, then the batch and its reverse as a 2-D stack
+    batch = np.array(points, dtype=float)
+    with np.errstate(all="ignore"):
+        rows = kernel(batch)
+        stack = kernel(np.stack([batch, batch[::-1]]))
+    assert rows.shape == (len(points), kernel.n_slots)
+    assert stack.shape == (2, len(points), kernel.n_slots)
+    for got, want in zip(rows.tolist() + stack.reshape(-1, kernel.n_slots).tolist(),
+                         wants + wants + wants[::-1]):
+        assert_same_floats(got, want)
 
 
 SPECIAL_COORDS = [0.0, -0.0, math.inf, -math.inf, math.nan]
@@ -477,7 +487,7 @@ def test_slot_sums_in_table_order(exps, x):
     # exact or compensated sum (Python >= 3.12's builtin sum) gives 1.0
     kernel = _Monomials([(1e16, exps, 0), (1.0, exps, 0), (-1e16, exps, 0)], 1, 1)
     assert kernel._point([x]) == [0.0]
-    assert kernel._rows(np.array([[x]])).tolist() == [[0.0]]
+    assert kernel(np.array([[x], [x]])).tolist() == [[0.0], [0.0]]
 
 
 def test_coefficients_never_reach_the_source():
@@ -816,10 +826,12 @@ def test_constants_peak_memory_is_a_few_slabs():
 
 def test_four_component_sum_analyses_in_bounded_memory():
     # the sum of four quartic wells in the box [-3, 3]^4: its 38^4 scan and
-    # its eight faces of 101^3 points took 544 MB as whole arrays
+    # its eight faces of 101^3 points took 544 MB as whole arrays.  The
+    # faces u_k = +-3 contract their one-point axis first: contracted last,
+    # the u_0 faces held 5 rows of 101^3 and peaked at 14 MB
     spec = user_polynomial(4, quartic_well_terms((0.6, 0.9, 1.2, 0.75)), [1.0] * 4,
                            [[-3.0, 3.0]] * 4)
-    assert traced_peak(compute_constants, spec) <= 16e6
+    assert traced_peak(compute_constants, spec) <= 8e6
     # m = sum of 4 c_k / 3 over the wells
     assert abs(compute_constants(spec).m - 4.6) <= 1e-12
 
@@ -1025,6 +1037,19 @@ def test_decoupled_grid_value_is_an_outer_sum(axes):
     assert got.shape == (len(axes[0]), len(axes[1]))
     want = spec.value(_mesh_rows(axes)).reshape(got.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("point_axis", [0, 1, 2])
+def test_polynomial_grid_value_on_a_face(point_axis):
+    # a face fixes one axis to one point, which is contracted first; the
+    # values still agree with value on the rows to roundoff
+    spec = REFERENCE_SPECS["poly3"]()
+    axes = [np.linspace(-2.0, 2.0, n) for n in (9, 8, 7)]
+    axes[point_axis] = np.array([0.7])
+    got = spec.grid_value(axes)
+    assert got.shape == tuple(len(a) for a in axes)
+    want = spec.value(_mesh_rows(axes)).reshape(got.shape)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
 def reference_deepest_well(spec):

@@ -11,9 +11,11 @@ from gradwave import (
     ContractViolationError,
     Grid,
     NoCrossingError,
+    PotentialSpec,
     Profile,
     derivative,
     read_csv,
+    scalar_cubic,
     segment_profile,
     shift,
     translate_to_crossing,
@@ -115,6 +117,23 @@ class TestInitialProfile:
         assert q[0] == pytest.approx(0.1306623862918077, abs=1e-6)
         w = decoupled_spec.value(p.values)
         assert np.min(w[g.nodes > 0]) >= -1e-10
+
+    def test_segment_that_never_goes_negative(self):
+        # W > 0 on (1, 1.5]: the segment from 1.5 to the well at 1 has no crossing
+        g = Grid.uniform(-5.0, 5.0, 0.1)
+        with pytest.raises(ContractViolationError, match="never enters the negative region"):
+            segment_profile(scalar_cubic(0.6), g, [1.5])
+
+    def test_negative_region_at_the_well(self):
+        # W(b) = -1e-6 < -NEG_TOL: the last segment sample, at b, is negative
+        spec = PotentialSpec(dim=1, well_b=np.array([1.0]),
+                             value=lambda u: np.asarray(u, dtype=float)[..., 0] ** 2 - 1.000001,
+                             gradient=lambda u: 2.0 * np.asarray(u, dtype=float),
+                             hessian=lambda u: np.full(np.shape(u) + (1,), 2.0),
+                             bounding_box=np.array([[-2.0, 2.0]]))
+        g = Grid.uniform(-5.0, 5.0, 0.1)
+        with pytest.raises(ContractViolationError, match="touches the reference well"):
+            segment_profile(spec, g, [0.0])
 
 
 class TestTranslate:

@@ -8,7 +8,6 @@ import pytest
 import gradwave.minimize as minimize
 import gradwave.speed as speed
 from gradwave import (
-    ContractViolationError,
     Grid,
     MinimizeOptions,
     NotAWaveError,
@@ -295,24 +294,19 @@ def test_warm_final_solve_matches_cold_race(builtin, request):
 
 @pytest.mark.parametrize("c", [0.8, 1.5])
 def test_cold_seeds_equal_segment_profiles(c, decoupled_spec, decoupled_consts):
-    # the per-run seeds, sliced onto a sub-grid, are the segment profiles
-    # built on that sub-grid
+    # the per-run seeds, resampled onto a sub-grid, are the segment profiles
+    # built on that sub-grid: its nodes are grid nodes
     grid = make_grid(decoupled_consts, 0.5, h=0.02)
-    seeds = well_seeds(decoupled_spec, decoupled_consts, grid)
-    sub, got = speed.cold_seeds(decoupled_consts, grid, c, seeds)
+    sub = speed_subgrid(grid, decoupled_consts, c)
     assert 0 < sub.n_nodes < grid.n_nodes
+    seeds = well_seeds(decoupled_spec, decoupled_consts, grid)
     points = seed_points(decoupled_spec, decoupled_consts)
-    assert len(got) == len(points) == 3
-    for seed, p in zip(got, points):
+    assert len(seeds) == len(points) == 3
+    for seed, p in zip(seeds, points):
+        got = transfer_profile(seed, sub)
         want = segment_profile(decoupled_spec, sub, p)
-        assert seed.grid.nodes.tobytes() == want.grid.nodes.tobytes()
-        assert seed.values.tobytes() == want.values.tobytes()
-
-
-def test_cold_seeds_reject_another_grid(scalar_spec, scalar_consts):
-    seeds = well_seeds(scalar_spec, scalar_consts, Grid.uniform(-60.0, 20.0, 0.05))
-    with pytest.raises(ContractViolationError):
-        speed.cold_seeds(scalar_consts, Grid.uniform(-60.0, 20.0, 0.1), 1.0, seeds)
+        assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeypatch):
