@@ -81,8 +81,6 @@ def _resolve_grid(cfg: RunConfig, consts, c_floor: float) -> Grid:
         auto_l, auto_r = auto_grid_bounds(consts, c_floor)
         xl = auto_l if xl is None else xl
         xr = auto_r if xr is None else xr
-    if cfg.refinement == "geometric":
-        return Grid.refined(xl, xr, cfg.h)
     return Grid.uniform(xl, xr, cfg.h)
 
 

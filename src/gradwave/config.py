@@ -18,7 +18,7 @@ from .potential import PotentialSpec, decoupled_quartic, scalar_cubic, user_poly
 
 _SECTIONS = {
     "potential": {"variant", "alpha", "beta", "dim", "terms", "well_b", "box"},
-    "grid": {"x_left", "x_right", "h", "refinement"},
+    "grid": {"x_left", "x_right", "h"},
     "solver": {"opt_tol", "penalty_kappa", "max_iters", "restarts", "seed", "feas_tol"},
     "mode": {"c", "c_list", "c_tol"},
     "output": {"directory", "report"},
@@ -39,7 +39,6 @@ class RunConfig:
     x_left: float | None
     x_right: float | None
     h: float
-    refinement: str
     solver: MinimizeOptions
     c: float | None
     c_list: list | None
@@ -177,9 +176,6 @@ def load_config(path) -> RunConfig:
         if x_right is not None and x_right <= 0:
             raise ConfigError(f"grid.x_right: must be positive, got {x_right}")
     h = _get_float(cp, "grid", "h", default=0.01, positive=True)
-    refinement = cp.get("grid", "refinement", fallback="uniform")
-    if refinement not in ("uniform", "geometric"):
-        raise ConfigError(f"grid.refinement: expected uniform or geometric, got '{refinement}'")
 
     # the benchmark inputs still write restarts and seed (ROADMAP item 1):
     # restarts is accepted only as 0, seed is checked and otherwise unused
@@ -213,7 +209,7 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         variant=variant, alpha=alpha, beta=beta, dim=dim, terms=terms,
         well_b=well_b, box=box,
-        x_left=x_left, x_right=x_right, h=h, refinement=refinement,
+        x_left=x_left, x_right=x_right, h=h,
         solver=MinimizeOptions(**{k: v for k, v in solver.items() if v is not None}),
         c=c, c_list=c_list, c_tol=c_tol,
         directory=directory, report=report, raw=raw,

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import ContractViolationError, NoCrossingError
 from .potential import NEG_TOL, PotentialSpec, project_to_zero_set
 
-# Grid.refined: growth factor of the spacing away from 0, from h_min up to h
-REFINE_RATIO = 1.3
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -68,32 +65,6 @@ class Grid:
             h * np.arange(1, n_right + 1),
         ])
         return Grid(nodes=nodes)
-
-    @staticmethod
-    def refined(
-        x_left: float,
-        x_right: float,
-        h: float,
-        h_min: float | None = None,
-    ) -> "Grid":
-        """Geometrically refined near 0 where the profile slope may jump."""
-        if h <= 0 or x_left >= 0 or x_right <= 0:
-            raise ContractViolationError("refined grid needs h > 0 and x_left < 0 < x_right")
-        h_min = h / 16 if h_min is None else h_min
-        if not 0 < h_min <= h:
-            raise ContractViolationError("refined grid needs 0 < h_min <= h")
-
-        def one_side(length):
-            xs = [0.0]
-            s = h_min
-            while xs[-1] < length:
-                xs.append(min(xs[-1] + s, length))
-                s = min(h, s * REFINE_RATIO)
-            return np.array(xs[1:])
-
-        right = one_side(x_right)
-        left = -one_side(-x_left)[::-1]
-        return Grid(nodes=np.concatenate([left, [0.0], right]))
 
 
 @dataclass(frozen=True)

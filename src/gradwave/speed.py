@@ -5,18 +5,17 @@ speeds and positive for large ones, so bisection on its sign converges to
 the unique root.  Bisection rather than a secant-type method because the
 estimates carry optimization noise and only their signs are trusted.
 
-``gamma_at`` computes the minimum energy at one speed; the bisection
-probes and final solve of ``find_speed``, ``wave_at_speed`` and the sweep of
-``gamma_curve`` all go through it.  A cold solve starts from one segment
-profile per well; the segment's crossing of the zero set does not depend on
-the speed, so each of those three calls builds its seeds once on the whole
-grid (``well_seeds``) and every cold solve resamples them onto its own
-sub-grid with ``transfer_profile``, as a warm start is resampled.  Two
-robustness rules shape ``gamma_at`` and its callers:
+``find_speed``, ``wave_at_speed`` and ``gamma_curve`` each run one
+``Probes`` engine, which owns how every minimum-energy solve starts: warm
+from the minimizer at a solved speed, or raced cold from one segment
+profile per well, built once on the whole grid because the segment's
+crossing of the zero set does not depend on the speed.  Either start is
+resampled onto the solve's sub-grid with ``transfer_profile``.  Two
+robustness rules shape the solves and their callers:
 
-* it runs on a sub-range of the caller's grid sized for its own speed (left
-  end at -40/c, right end at 40 over the tail decay rate), which keeps the
-  exponential weight within double-precision range;
+* each solve runs on a sub-range of the caller's grid sized for its speed
+  (left end at -40/c, right end at 40 over the tail decay rate), which
+  keeps the exponential weight within double-precision range;
 * the minimum energy is an infimum over a constraint set that does not
   depend on the speed, so ``find_speed`` takes its signs from two facts.  A
   feasible profile with negative energy proves a negative sign: at the lower
@@ -125,40 +124,65 @@ def seed_points(spec: PotentialSpec, consts: PotentialConstants) -> list[np.ndar
     return points
 
 
-def well_seeds(spec: PotentialSpec, consts: PotentialConstants, grid: Grid) -> list[Profile]:
-    """One segment profile per seed well on the whole grid, for one run's cold solves.
+class Probes:
+    """Minimum-energy solves of one run on one grid, and what they found.
 
-    Each carries its well's segment crossing (the bisected segment parameter
-    and its projection onto the zero set), which does not depend on the
-    speed; a cold solve resamples it onto its own sub-grid with
-    ``transfer_profile``, which there equals the segment profile built on
-    the sub-grid bit for bit.
+    ``seeds`` holds one segment profile per seed well on the whole grid;
+    resampled onto a sub-grid it equals the segment profile built there bit
+    for bit.  ``results`` maps each solved speed to its result, ``cold``
+    holds the speeds solved cold, and ``table`` lists every ``(c, gamma)``
+    in order, seed bounds included.
     """
-    return [segment_profile(spec, grid, p) for p in seed_points(spec, consts)]
 
+    def __init__(self, spec: PotentialSpec, consts: PotentialConstants, grid: Grid,
+                 opts: MinimizeOptions):
+        self.spec, self.consts, self.grid, self.opts = spec, consts, grid, opts
+        self.seeds = [segment_profile(spec, grid, p) for p in seed_points(spec, consts)]
+        self.results: dict[float, GammaResult] = {}
+        self.cold: set[float] = set()
+        self.table: list[tuple[float, float]] = []
 
-def gamma_at(
-    spec: PotentialSpec,
-    consts: PotentialConstants,
-    grid: Grid,
-    c: float,
-    opts: MinimizeOptions,
-    seeds,
-    warm_from: Profile | None = None,
-) -> GammaResult:
-    """Minimum energy at c on speed_subgrid(grid, consts, c).
+    def solve(self, c: float, start: float | None = None,
+              opts: MinimizeOptions | None = None) -> GammaResult:
+        """Minimum energy at c on speed_subgrid(grid, consts, c).
 
-    Warm-started from ``warm_from`` when given, else raced cold from
-    ``seeds``, the ``well_seeds`` of ``grid``; either start is resampled onto
-    the sub-grid with ``transfer_profile``.
-    """
-    params = FunctionalParams(c=c)
-    sub = speed_subgrid(grid, consts, c)
-    if warm_from is not None:
-        init = transfer_profile(warm_from, sub)
-        return minimize_profile(spec, consts, params, sub, init, opts)
-    inits = [transfer_profile(seed, sub) for seed in seeds]
-    return minimize_from_seeds(spec, consts, params, sub, inits, opts)
+        Warm-started from the minimizer found at the solved speed ``start``,
+        else raced cold from every seed; either start is resampled onto the
+        sub-grid with ``transfer_profile``.
+        """
+        opts = self.opts if opts is None else opts
+        params = FunctionalParams(c=c)
+        sub = speed_subgrid(self.grid, self.consts, c)
+        if start is not None:
+            init = transfer_profile(self.results[start].profile, sub)
+            res = minimize_profile(self.spec, self.consts, params, sub, init, opts)
+        else:
+            inits = [transfer_profile(seed, sub) for seed in self.seeds]
+            res = minimize_from_seeds(self.spec, self.consts, params, sub, inits, opts)
+            self.cold.add(c)
+        self.results[c] = res
+        self.table.append((c, res.gamma))
+        return res
+
+    def nearest(self, c: float) -> float | None:
+        """The solved speed closest to c, or None before the first solve."""
+        return min(self.results, key=lambda ck: abs(ck - c), default=None)
+
+    def seed_bound(self, c: float) -> float | None:
+        """Energy at c of the first seed that is feasible with negative energy, or None.
+
+        Any feasible profile bounds the minimum energy from above, so such a
+        seed settles a negative sign without a descent.
+        """
+        sub = speed_subgrid(self.grid, self.consts, c)
+        op = WeightedEnergy(self.spec, FunctionalParams(c=c), sub)
+        for seed in self.seeds:
+            u = translate_to_crossing(self.spec, transfer_profile(seed, sub)).values
+            J, _, w = op.value(u)
+            if J < 0 and op.violation(w) <= self.opts.feas_tol:
+                self.table.append((c, J))
+                return J
+        return None
 
 
 def find_speed(
@@ -174,78 +198,50 @@ def find_speed(
     the wrong sign (possible on a coarse grid) the bracket is expanded
     geometrically, with a hard failure after a few expansions.  A lower end
     is negative without any descent when one of its cold seeds is feasible
-    with negative energy.  Interior probes are warm-started from the nearest
-    evaluated minimizer.  Once the bracket is narrower than ``c_tol``, its
-    upper end is solved cold if it came from a warm probe; a negative cold
-    result makes it the lower end, the next larger positive probe the upper
-    end, and the bisection resumes.  The returned profile is the minimizer
-    at the midpoint, started from the cold minimizer at the final upper end
-    and living on the sub-range of the grid sized for that speed.
+    with negative energy (``Probes.seed_bound``).  Interior probes are
+    warm-started from the minimizer at the nearest solved speed.  Once the
+    bracket is narrower than ``c_tol``, its upper end is solved cold if it
+    came from a warm probe; a negative cold result makes it the lower end,
+    the next larger positive probe the upper end, and the bisection resumes.
+    The returned profile is the minimizer at the midpoint, started from the
+    cold minimizer at the final upper end and living on the sub-range of the
+    grid sized for that speed.
     """
     if not c_tol > 0:
         raise ContractViolationError("c_tol must be positive")
 
     bounds = compute_bounds(spec, consts, max(1.0, c_tol))
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
-    evaluated: dict[float, GammaResult] = {}
-    solved_cold: set[float] = set()
-    probes: list[tuple[float, float]] = []
-    probe_opts = replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL))
-    seeds = well_seeds(spec, consts, grid)
+    run = Probes(spec, consts, grid, replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL)))
 
-    def probe(c: float, warm_from: Profile | None) -> float:
-        res = gamma_at(spec, consts, grid, c, probe_opts, seeds, warm_from)
-        if warm_from is None:
-            solved_cold.add(c)
-        evaluated[c] = res
-        probes.append((c, res.gamma))
-        return res.gamma
-
-    def lower_end(c: float) -> float:
-        # any feasible profile bounds the minimum from above, so a cold seed
-        # with negative energy settles the sign without a descent
-        sub = speed_subgrid(grid, consts, c)
-        op = WeightedEnergy(spec, FunctionalParams(c=c), sub)
-        for seed in seeds:
-            J, _, w = op.value(translate_to_crossing(spec, transfer_profile(seed, sub)).values)
-            if J < 0 and op.violation(w) <= probe_opts.feas_tol:
-                probes.append((c, J))
-                return J
-        return probe(c, None)
-
-    def nearest_profile(c: float) -> Profile | None:
-        if not evaluated:
-            return None
-        c_near = min(evaluated, key=lambda ck: abs(ck - c))
-        return evaluated[c_near].profile
-
-    g_lo = lower_end(c_lo)
+    # a seed bound is negative whenever it is not None
+    g_lo = run.seed_bound(c_lo) or run.solve(c_lo).gamma
     for _ in range(_MAX_EXPANSIONS):
         if g_lo < 0:
             break
         c_lo /= _EXPAND_FACTOR
-        g_lo = lower_end(c_lo)
+        g_lo = run.seed_bound(c_lo) or run.solve(c_lo).gamma
     else:
         raise BracketFailureError(
-            f"no negative minimum energy found down to c={c_lo:g}", probes=probes
+            f"no negative minimum energy found down to c={c_lo:g}", probes=run.table
         )
 
-    g_hi = probe(c_hi, None)
+    g_hi = run.solve(c_hi).gamma
     for _ in range(_MAX_EXPANSIONS):
         if g_hi > 0:
             break
         c_hi *= _EXPAND_FACTOR
-        g_hi = probe(c_hi, None)
+        g_hi = run.solve(c_hi).gamma
     else:
         raise BracketFailureError(
-            f"no positive minimum energy found up to c={c_hi:g}", probes=probes
+            f"no positive minimum energy found up to c={c_hi:g}", probes=run.table
         )
 
     history = [(c_lo, c_hi, g_lo, g_hi)]
     while True:
         while c_hi - c_lo > c_tol:
             c_mid = 0.5 * (c_lo + c_hi)
-            g_mid = probe(c_mid, nearest_profile(c_mid))
+            g_mid = run.solve(c_mid, run.nearest(c_mid)).gamma
             if g_mid == 0.0:
                 c_lo = c_hi = c_mid
                 g_lo = g_hi = 0.0
@@ -256,22 +252,23 @@ def find_speed(
             else:
                 c_hi, g_hi = c_mid, g_mid
             history.append((c_lo, c_hi, g_lo, g_hi))
-        if c_hi in solved_cold:
+        if c_hi in run.cold:
             break
-        g_cold = probe(c_hi, None)
+        g_cold = run.solve(c_hi).gamma
         if g_cold >= 0.0:
             g_hi = min(g_hi, g_cold)
             history = [(a, b, ga, g_hi if b == c_hi else gb) for a, b, ga, gb in history]
             break
         c_lo, g_lo = c_hi, g_cold
-        c_hi = min(c for c, r in evaluated.items() if c > c_lo and r.gamma > 0)
-        g_hi = evaluated[c_hi].gamma
+        c_hi = min(c for c, r in run.results.items() if c > c_lo and r.gamma > 0)
+        g_hi = run.results[c_hi].gamma
         history.append((c_lo, c_hi, g_lo, g_hi))
 
     # c_hi is now solved cold and lies within c_tol / 2 of c_star: its
-    # minimizer starts the final solve, and no sign depends on that solve
+    # minimizer starts the final solve, and no sign depends on that solve;
+    # c_hi is named because the midpoint is equally near both ends
     c_star = 0.5 * (c_lo + c_hi)
-    final = gamma_at(spec, consts, grid, c_star, opts, seeds, evaluated[c_hi].profile)
+    final = run.solve(c_star, c_hi, opts)
     return SpeedResult(
         c_star=c_star,
         gamma_at_c_star=final.gamma,
@@ -293,7 +290,7 @@ def wave_at_speed(
     Raises NotAWaveError when the converged minimum energy is not zero
     within tolerance; run find_speed first to locate the root speed.
     """
-    res = gamma_at(spec, consts, grid, c, opts, well_seeds(spec, consts, grid))
+    res = Probes(spec, consts, grid, opts).solve(c)
     tol = gamma_zero_tol(consts, c)
     if abs(res.gamma) > tol:
         raise NotAWaveError(
@@ -324,8 +321,6 @@ def gamma_curve(
     if any(b <= a for a, b in zip(c_arr, c_arr[1:])):
         raise ContractViolationError("c_list must be strictly increasing")
 
-    seeds = well_seeds(spec, consts, grid)
-    results = [gamma_at(spec, consts, grid, c_arr[0], opts, seeds)]
-    for c in c_arr[1:]:
-        results.append(gamma_at(spec, consts, grid, c, opts, seeds, results[-1].profile))
-    return results
+    # on an increasing list the nearest solved speed is the previous one
+    run = Probes(spec, consts, grid, opts)
+    return [run.solve(c, run.nearest(c)) for c in c_arr]

@@ -15,6 +15,7 @@ import pytest
 import gradwave.cli
 import gradwave.minimize
 import gradwave.potential
+import gradwave.speed
 import gradwave.verify
 from gradwave import (
     AssumptionViolationError,
@@ -68,6 +69,12 @@ h = -0.01
 """)
         assert main(["bounds", "--config", cfg]) == 1
         assert "grid.h" in capsys.readouterr().err
+
+    def test_removed_refinement_key_rejected(self, tmp_path, capsys):
+        # the geometric grid was removed; a config still naming it is refused
+        cfg = write_config(tmp_path, f"[potential]\n{SCALAR}\n[grid]\nrefinement = uniform\n")
+        assert main(["bounds", "--config", cfg]) == 1
+        assert "unknown key grid.refinement" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -478,6 +485,19 @@ directory = {out2}
         assert report["result"]["gamma_result"]["converged"] is False
         assert (out / "wave.csv").exists() and (out / "bracket_history.csv").exists()
         assert "did not converge" in capsys.readouterr().err
+
+    def test_bracket_failure_exits_2_with_probe_table(self, tmp_path, monkeypatch, capsys):
+        real = gradwave.speed.compute_bounds
+        monkeypatch.setattr(gradwave.speed, "compute_bounds",
+                            lambda *args: dataclasses.replace(real(*args), bracket_hi=0.05))
+        cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=tmp_path / "out")
+                           .replace("h = 0.02", "h = 0.05"))
+        assert main(["speed", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "no positive minimum energy found up to c=0.569531" in err
+        table = err.split("probe table (c, gamma):\n")[1].splitlines()
+        assert [row.split()[0] for row in table] == [
+            "0.25041", "0.05", "0.075", "0.1125", "0.16875", "0.253125", "0.379688", "0.569531"]
 
 
 class TestVerifyCommand:

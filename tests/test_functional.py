@@ -157,7 +157,8 @@ class TestGradient:
             assert grad[i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
     def test_matches_on_refined_grid(self, scalar_spec, scalar_consts):
-        g = Grid.refined(-5.0, 4.0, 0.2, h_min=0.02)
+        # graded nodes: 0.02 apart at 0, about 0.2 apart at the left end
+        g = Grid(nodes=0.5 * np.sinh(0.04 * np.arange(-75, 71)))
         p = segment_profile(scalar_spec, g, scalar_consts.point_a)
         op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.7), g, kappa=1e3)
         grad = gradient(op, p.values)

@@ -126,7 +126,8 @@ class TestMinimizeScalar:
         assert not res.converged
 
     def test_refined_grid_solve(self, scalar_spec, scalar_consts):
-        grid = Grid.refined(-30.0, 15.0, 0.05, h_min=0.01)
+        # graded nodes on [-30, 15]: 0.01 apart at 0, wider towards the ends
+        grid = Grid(nodes=2.5 * np.sinh(0.004 * np.arange(-795, 623)))
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,

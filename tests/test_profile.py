@@ -33,13 +33,17 @@ class TestGrid:
         assert g.x_right == pytest.approx(2.0)
         assert np.allclose(np.diff(g.nodes), 0.01)
 
-    def test_refined_spacing_grows_from_zero(self):
-        g = Grid.refined(-3.0, 2.0, 0.05, h_min=0.05 / 8)
-        d = np.diff(g.nodes)
-        assert np.all(d > 0)
-        iz = g.index_zero
-        assert d[iz] <= 0.05 / 8 + 1e-12
-        assert d.max() <= 0.05 + 1e-12
+    def test_graded_nodes_round_trip_through_csv(self, tmp_path, scalar_spec):
+        # a profile CSV may carry non-uniform nodes; they come back bit for bit
+        g = Grid(nodes=0.5 * np.sinh(0.05 * np.arange(-60, 41)))
+        assert g.nodes[g.index_zero] == 0.0 and g.index_zero == 60
+        vals = np.tanh(g.nodes + X0_TANH)[:, None]
+        vals[-1] = 1.0
+        path = tmp_path / "graded.csv"
+        write_csv(path, Profile(grid=g, values=vals, well_b=np.array([1.0])), scalar_spec)
+        q = read_csv(path, scalar_spec)
+        assert q.grid.nodes.tobytes() == g.nodes.tobytes()
+        assert q.values.tobytes() == vals.tobytes()
 
     def test_invalid_grids(self):
         with pytest.raises(ContractViolationError):

@@ -8,6 +8,7 @@ import pytest
 import gradwave.minimize as minimize
 import gradwave.speed as speed
 from gradwave import (
+    BracketFailureError,
     Grid,
     MinimizeOptions,
     NotAWaveError,
@@ -15,17 +16,17 @@ from gradwave import (
     compute_constants,
     derivative,
     find_speed,
+    gamma_curve,
     segment_profile,
     user_polynomial,
     wave_at_speed,
 )
 from gradwave.speed import (
-    gamma_at,
+    Probes,
     gamma_zero_tol,
     seed_points,
     speed_subgrid,
     transfer_profile,
-    well_seeds,
 )
 from gradwave.verify import run_verify
 from conftest import make_grid, quartic_well_terms
@@ -163,40 +164,53 @@ class TestGammaCurve:
             sub = speed_subgrid(grid, scalar_consts, c)
             assert np.array_equal(res.profile.grid.nodes, sub.nodes)
 
-    def test_first_point_is_cold_gamma_at(self, scalar_curve, scalar_spec, scalar_consts):
-        c_list, curve, grid = scalar_curve
-        opts = MinimizeOptions(opt_tol=1e-6)
-        cold = gamma_at(scalar_spec, scalar_consts, grid, c_list[0], opts,
-                        well_seeds(scalar_spec, scalar_consts, grid))
+    def test_warm_chain_from_the_previous_speed(self, scalar_spec, scalar_consts, monkeypatch):
+        # the first speed is raced cold; each later one starts from the one before
+        calls = []
+        real = Probes.solve
+
+        def logged(self, c, start=None, opts=None):
+            calls.append((c, start))
+            return real(self, c, start, opts)
+
+        monkeypatch.setattr(Probes, "solve", logged)
+        c_list = [0.3, 0.45, 0.6, 0.8]
+        grid = make_grid(scalar_consts, c_list[0], h=0.05)
+        opts = MinimizeOptions(opt_tol=1e-5)
+        curve = gamma_curve(scalar_spec, scalar_consts, grid, c_list, opts)
+        assert calls == [(c_list[0], None)] + list(zip(c_list[1:], c_list[:-1]))
+        cold = Probes(scalar_spec, scalar_consts, grid, opts).solve(c_list[0])
         assert cold.gamma == curve[0].gamma
         assert np.array_equal(cold.profile.values, curve[0].profile.values)
 
 
 def logged_find_speed(spec, consts, alter=None, cold_final=False):
-    """find_speed at h = 0.02 with every gamma_at call logged as (c, warm).
+    """find_speed at h = 0.02 with every Probes.solve call logged as (c, warm).
 
-    ``alter(c, warm, result)``, when given, replaces what gamma_at returns.
-    ``cold_final`` races the final solve cold from every well instead of
-    starting it from the cold minimizer at the final upper end.
+    ``alter(c, warm, result)``, when given, replaces what a solve records
+    and returns.  ``cold_final`` races the final solve cold from every well
+    instead of starting it from the cold minimizer at the final upper end.
     """
     calls = []
-    real = speed.gamma_at
+    real = speed.Probes.solve
     final_opts = MinimizeOptions()
 
-    def logged(spec, consts, grid, c, opts, seeds, warm_from=None):
+    def logged(self, c, start=None, opts=None):
         if cold_final and opts is final_opts:
-            # the probes run on a copy with a looser tolerance; the final
-            # solve gets the caller's options
-            warm_from = None
-        res = real(spec, consts, grid, c, opts, seeds, warm_from)
-        warm = warm_from is not None
+            # the probes run on the engine's copy with a looser tolerance;
+            # the final solve passes the caller's options
+            start = None
+        res = real(self, c, start, opts)
+        warm = start is not None
         calls.append((c, warm))
-        return res if alter is None else alter(c, warm, res)
+        if alter is not None:
+            res = self.results[c] = alter(c, warm, res)
+        return res
 
     bounds = compute_bounds(spec, consts, 1.0)
     grid = make_grid(consts, bounds.bracket_lo, h=0.02)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(speed, "gamma_at", logged)
+        mp.setattr(speed.Probes, "solve", logged)
         res = find_speed(spec, consts, grid, final_opts, 1e-3)
     return res, calls, bounds
 
@@ -272,6 +286,29 @@ class TestSignCertificates:
         assert abs(res.c_star - scalar_logged[0].c_star) <= 1e-3
 
 
+def test_bracket_failure_carries_the_probe_table(scalar_spec, scalar_consts, monkeypatch):
+    # an upper end of 0.05 stays below c* = 0.6 through six expansions: the
+    # table holds the seed bound at the lower end, then every cold probe at
+    # the upper end, in order
+    real = speed.compute_bounds
+    monkeypatch.setattr(speed, "compute_bounds",
+                        lambda *args: dataclasses.replace(real(*args), bracket_hi=0.05))
+    lo = compute_bounds(scalar_spec, scalar_consts, 1.0).bracket_lo
+    grid = make_grid(scalar_consts, lo, h=0.05)
+    with pytest.raises(BracketFailureError,
+                       match=r"no positive minimum energy found up to c=0\.569531") as info:
+        find_speed(scalar_spec, scalar_consts, grid, MinimizeOptions(), 1e-3)
+    table = info.value.probes
+    assert len(table) == 8
+    assert table[0][0] == lo
+    assert table[0][1] == pytest.approx(-0.99132, abs=1e-5)
+    uppers = [0.05]
+    for _ in range(6):
+        uppers.append(uppers[-1] * 1.5)
+    assert [c for c, _ in table[1:]] == uppers
+    assert all(g < 0 for _, g in table)
+
+
 @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
 def test_warm_final_solve_matches_cold_race(builtin, request):
     # the final solve starts from the cold minimizer at the final upper end;
@@ -299,7 +336,7 @@ def test_cold_seeds_equal_segment_profiles(c, decoupled_spec, decoupled_consts):
     grid = make_grid(decoupled_consts, 0.5, h=0.02)
     sub = speed_subgrid(grid, decoupled_consts, c)
     assert 0 < sub.n_nodes < grid.n_nodes
-    seeds = well_seeds(decoupled_spec, decoupled_consts, grid)
+    seeds = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions()).seeds
     points = seed_points(decoupled_spec, decoupled_consts)
     assert len(seeds) == len(points) == 3
     for seed, p in zip(seeds, points):
@@ -321,8 +358,7 @@ def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeyp
     monkeypatch.setattr(minimize, "_descent", counted)
     assert len(seed_points(decoupled_spec, decoupled_consts)) == 3
     grid = make_grid(decoupled_consts, 1.0, h=0.05)
-    res = gamma_at(decoupled_spec, decoupled_consts, grid, 1.5, MinimizeOptions(opt_tol=1e-5),
-                   well_seeds(decoupled_spec, decoupled_consts, grid))
+    res = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions(opt_tol=1e-5)).solve(1.5)
     race = [iters for cap, iters in runs if cap == minimize._RACE_BUDGET]
     assert len(race) == 3
     assert res.iterations >= sum(race)
@@ -336,7 +372,6 @@ def test_short_race_picks_the_wave(decoupled_spec, decoupled_consts):
     bounds = compute_bounds(decoupled_spec, decoupled_consts, 1.0)
     grid = make_grid(decoupled_consts, bounds.bracket_lo, h=0.02)
     c = 1.2003735488958043
-    res = gamma_at(decoupled_spec, decoupled_consts, grid, c, MinimizeOptions(),
-                   well_seeds(decoupled_spec, decoupled_consts, grid))
+    res = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions()).solve(c)
     np.testing.assert_allclose(res.profile.values[0], [1.0, -1.0], rtol=0, atol=1e-3)
     assert run_verify(decoupled_spec, decoupled_consts, c, res.profile, res.gamma).passed

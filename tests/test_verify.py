@@ -141,7 +141,8 @@ class TestSharedKernels:
 
     @pytest.fixture
     def refined_wave(self):
-        grid = Grid.refined(-30.0, 20.0, 0.05)
+        # graded nodes on [-30, 20]: 0.003 apart at 0, wider towards the ends
+        grid = Grid(nodes=2.0 * np.sinh(0.0015625 * np.arange(-2178, 1918)))
         vals = np.tanh(grid.nodes + X0_TANH)[:, None]
         vals[-1] = 1.0
         return Profile(grid=grid, values=vals, well_b=np.array([1.0]))
