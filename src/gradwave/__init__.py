@@ -15,7 +15,6 @@ from .errors import (
     DegenerateProjectionError,
     InfeasibleMinimizerError,
     NoCrossingError,
-    NotAWaveError,
     ProjectionConvergenceError,
     ShootingDivergenceError,
     TailError,
@@ -29,7 +28,6 @@ from .potential import (
     PotentialSpec,
     compute_constants,
     decoupled_quartic,
-    evaluate,
     find_equilibria,
     project_to_zero_set,
     scalar_cubic,
@@ -47,8 +45,8 @@ from .profile import (
     translate_to_crossing,
     write_csv,
 )
-from .speed import SpeedResult, find_speed, gamma_curve, gamma_zero_tol, wave_at_speed
-from .verify import VerifyReport, VerifyThresholds, run_verify
+from .speed import SpeedResult, find_speed, gamma_curve
+from .verify import VerifyReport, run_verify
 
 __all__ = [
     "AssumptionViolationError",
@@ -63,7 +61,6 @@ __all__ = [
     "InfeasibleMinimizerError",
     "MinimizeOptions",
     "NoCrossingError",
-    "NotAWaveError",
     "PotentialConstants",
     "PotentialSpec",
     "Profile",
@@ -72,7 +69,6 @@ __all__ = [
     "SpeedResult",
     "TailError",
     "VerifyReport",
-    "VerifyThresholds",
     "WaveSolverError",
     "WeightOverflowError",
     "WeightedEnergy",
@@ -81,11 +77,9 @@ __all__ = [
     "decoupled_quartic",
     "derivative",
     "energy",
-    "evaluate",
     "find_equilibria",
     "find_speed",
     "gamma_curve",
-    "gamma_zero_tol",
     "minimize_profile",
     "project_to_zero_set",
     "read_csv",
@@ -97,6 +91,5 @@ __all__ = [
     "translate_to_crossing",
     "user_polynomial",
     "validate_spec",
-    "wave_at_speed",
     "write_csv",
 ]

@@ -11,7 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
 from .functional import decay_rate
 from .minimize import MinimizeOptions
 from .potential import PotentialSpec, decoupled_quartic, scalar_cubic, user_polynomial
@@ -217,11 +217,18 @@ def load_config(path) -> RunConfig:
 
 
 def build_potential(cfg: RunConfig) -> PotentialSpec:
-    if cfg.variant == "scalar_cubic":
-        return scalar_cubic(cfg.alpha)
-    if cfg.variant == "decoupled_quartic":
-        return decoupled_quartic(cfg.alpha, cfg.beta)
-    return user_polynomial(cfg.dim, cfg.terms, cfg.well_b, cfg.box)
+    """The configured potential.  Parameter ranges live in the family
+    constructors; a value out of range is a ConfigError naming its keys."""
+    try:
+        if cfg.variant == "scalar_cubic":
+            return scalar_cubic(cfg.alpha)
+        if cfg.variant == "decoupled_quartic":
+            return decoupled_quartic(cfg.alpha, cfg.beta)
+        return user_polynomial(cfg.dim, cfg.terms, cfg.well_b, cfg.box)
+    except ContractViolationError as err:
+        keys = {"scalar_cubic": "potential.alpha",
+                "decoupled_quartic": "potential.alpha, potential.beta"}
+        raise ConfigError(f"{keys.get(cfg.variant, 'potential.terms')}: {err}") from None
 
 
 def auto_grid_bounds(consts, c_floor: float) -> tuple:

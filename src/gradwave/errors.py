@@ -41,10 +41,6 @@ class BracketFailureError(WaveSolverError):
         self.probes = list(probes) if probes is not None else []
 
 
-class NotAWaveError(WaveSolverError):
-    """Requested a wave profile at a speed where the minimum energy is not zero."""
-
-
 class TailError(WaveSolverError):
     """The right tail of a profile is unusable (not converged to the reference well)."""
 

@@ -86,8 +86,6 @@ class PotentialSpec:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
-    variant: str = "custom"
-    params: tuple = ()
     point_gradient: Callable[[list], list] | None = None
     grid_value: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
 
@@ -187,8 +185,6 @@ def scalar_cubic(alpha: float) -> PotentialSpec:
         gradient=gradient,
         hessian=hessian,
         bounding_box=np.array([[-2.0, 2.0]]),
-        variant="scalar_cubic",
-        params=(alpha,),
         point_gradient=lambda p: [_quartic_well_d1(p[0], alpha)],
     )
 
@@ -235,8 +231,6 @@ def decoupled_quartic(alpha: float, beta: float) -> PotentialSpec:
         gradient=gradient,
         hessian=hessian,
         bounding_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
-        variant="decoupled_quartic",
-        params=(alpha, beta),
         point_gradient=lambda p: [_quartic_well_d1(p[0], alpha), _quartic_well_d1(p[1], beta)],
         grid_value=grid_value,
     )
@@ -396,8 +390,6 @@ def user_polynomial(
         gradient=gradient,
         hessian=hessian,
         bounding_box=box,
-        variant="user_polynomial",
-        params=tuple(float(c) for c in coeffs),
         point_gradient=grads._point,
         grid_value=values.grid,
     )
@@ -406,16 +398,6 @@ def user_polynomial(
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def evaluate(spec: PotentialSpec, point) -> float:
-    """Evaluate the potential at one point, checking the dimension."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (spec.dim,):
-        raise ContractViolationError(
-            f"point has shape {p.shape}, expected ({spec.dim},)"
-        )
-    return float(spec.value(p))
-
 
 def validate_spec(spec: PotentialSpec) -> None:
     """Check the structural assumptions on a potential.

@@ -5,12 +5,13 @@ speeds and positive for large ones, so bisection on its sign converges to
 the unique root.  Bisection rather than a secant-type method because the
 estimates carry optimization noise and only their signs are trusted.
 
-``find_speed``, ``wave_at_speed`` and ``gamma_curve`` each run one
-``Probes`` engine, which owns how every minimum-energy solve starts: warm
-from the minimizer at a solved speed, or raced cold from one segment
-profile per well, built once on the whole grid because the segment's
-crossing of the zero set does not depend on the speed.  Either start is
-resampled onto the solve's sub-grid with ``transfer_profile``.  Two
+``find_speed`` and ``gamma_curve`` each run one ``Probes`` engine, which
+owns how every minimum-energy solve starts: warm from the minimizer at a
+solved speed, or raced cold from one segment profile per well, built once
+on the whole grid because the segment's crossing of the zero set does not
+depend on the speed.  Either start is resampled onto the solve's sub-grid
+with ``transfer_profile``.  The minimizer at one known speed c is
+``gamma_curve(spec, consts, grid, [c], opts)[0]``, a cold solve.  Two
 robustness rules shape the solves and their callers:
 
 * each solve runs on a sub-range of the caller's grid sized for its speed
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketFailureError, ContractViolationError, NotAWaveError
+from .errors import BracketFailureError, ContractViolationError
 from .functional import FunctionalParams, WeightedEnergy, compute_bounds, decay_rate
 from .minimize import GammaResult, MinimizeOptions, minimize_from_seeds, minimize_profile
 from .potential import PotentialConstants, PotentialSpec, well_minima
@@ -68,24 +69,14 @@ class SpeedResult:
     bracket_history: list
     profile: Profile
     gamma_result: GammaResult
-    wave_ok: bool | None = None
 
     def as_dict(self) -> dict:
         return {
             "c_star": self.c_star,
             "gamma_at_c_star": self.gamma_at_c_star,
             "bracket_history": [list(b) for b in self.bracket_history],
-            "wave_ok": self.wave_ok,
             "gamma_result": self.gamma_result.as_dict(),
         }
-
-    def with_wave_ok(self, ok: bool) -> "SpeedResult":
-        return replace(self, wave_ok=ok)
-
-
-def gamma_zero_tol(consts: PotentialConstants, c: float) -> float:
-    """Tolerance for treating an energy estimate as zero, scaled to its natural size."""
-    return 5e-3 * (1.0 + consts.m / c)
 
 
 def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
@@ -221,7 +212,7 @@ def find_speed(
             break
         c_lo /= _EXPAND_FACTOR
         g_lo = run.seed_bound(c_lo) or run.solve(c_lo).gamma
-    else:
+    if not g_lo < 0:
         raise BracketFailureError(
             f"no negative minimum energy found down to c={c_lo:g}", probes=run.table
         )
@@ -232,7 +223,7 @@ def find_speed(
             break
         c_hi *= _EXPAND_FACTOR
         g_hi = run.solve(c_hi).gamma
-    else:
+    if not g_hi > 0:
         raise BracketFailureError(
             f"no positive minimum energy found up to c={c_hi:g}", probes=run.table
         )
@@ -276,28 +267,6 @@ def find_speed(
         profile=final.profile,
         gamma_result=final,
     )
-
-
-def wave_at_speed(
-    spec: PotentialSpec,
-    consts: PotentialConstants,
-    grid: Grid,
-    c: float,
-    opts: MinimizeOptions,
-) -> Profile:
-    """Minimizer profile at a speed where the minimum energy vanishes.
-
-    Raises NotAWaveError when the converged minimum energy is not zero
-    within tolerance; run find_speed first to locate the root speed.
-    """
-    res = Probes(spec, consts, grid, opts).solve(c)
-    tol = gamma_zero_tol(consts, c)
-    if abs(res.gamma) > tol:
-        raise NotAWaveError(
-            f"minimum energy {res.gamma:.4g} at c={c:g} is not zero within {tol:.2g}; "
-            "run find_speed to locate the root speed first"
-        )
-    return res.profile
 
 
 def gamma_curve(

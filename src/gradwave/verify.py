@@ -32,18 +32,20 @@ from .functional import cell_weights  # noqa: F401
 from .potential import find_equilibria  # noqa: F401
 
 
-@dataclass(frozen=True)
-class VerifyThresholds:
-    """Pass thresholds for each certification check."""
-
-    ode_residual: float = 5e-3
-    first_integral: float = 2e-2
-    halfline: float = 5e-3
-    jump_gap: float = 1e-2
-    decay_fit: float = 0.1
-    decay_margin_over_c: float = 0.05
-    left_tail_grad: float = 1e-2
-    shooting_gap: float = 2e-2
+# pass threshold of each report check; the three half-line identities share
+# one threshold, and the fitted decay rate must also reach c - DECAY_MARGIN
+THRESHOLDS = {
+    "el_residual": 5e-3,
+    "first_integral": 2e-2,
+    "halfline_right": 5e-3,
+    "halfline_left": 5e-3,
+    "halfline_slope": 5e-3,
+    "jump_gap": 1e-2,
+    "decay_rate": 0.1,
+    "left_tail_grad": 1e-2,
+    "shooting_gap": 2e-2,
+}
+DECAY_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -217,20 +219,19 @@ def left_tail_report(
     consts: PotentialConstants,
     profile: Profile,
 ) -> tuple:
-    """Left-end diagnostics: stationarity norm, potential level, nearest equilibrium.
+    """Left-end diagnostics: stationarity norm and nearest equilibrium.
 
-    Returns (|DW| + |u'| at the left end, the potential value there, the
-    distance to the nearest of ``consts.equilibria``, and that equilibrium).
-    The distance is +inf and the equilibrium None when there is none.
+    Returns (|DW| + |u'| at the left end, the distance to the nearest of
+    ``consts.equilibria``, and that equilibrium).  The distance is +inf and
+    the equilibrium None when there is none.
     """
     du = derivative(profile).values[0]
     u_left = profile.values[0]
     grad_norm = float(np.linalg.norm(spec.gradient(u_left))) + float(np.linalg.norm(du))
-    w_limit = float(spec.value(u_left))
     if not consts.equilibria:
-        return grad_norm, w_limit, float("inf"), None
+        return grad_norm, float("inf"), None
     nearest = min(consts.equilibria, key=lambda q: float(np.linalg.norm(u_left - q)))
-    return grad_norm, w_limit, float(np.linalg.norm(u_left - nearest)), nearest
+    return grad_norm, float(np.linalg.norm(u_left - nearest)), nearest
 
 
 @functools.cache
@@ -416,49 +417,39 @@ def run_verify(
     c: float,
     profile: Profile,
     gamma_hat: float,
-    thresholds: VerifyThresholds | None = None,
 ) -> VerifyReport:
     """Assemble the full certification report for a candidate pair."""
-    th = thresholds or VerifyThresholds()
     checks: dict = {}
 
-    el = el_residual(spec, c, profile)
-    checks["el_residual"] = (el, th.ode_residual, el <= th.ode_residual)
+    def check(name, value, ok=None):
+        thr = THRESHOLDS[name]
+        checks[name] = (value, thr, value <= thr if ok is None else ok)
 
-    fi = first_integral_residual(spec, c, profile)
-    checks["first_integral"] = (fi, th.first_integral, fi <= th.first_integral)
+    check("el_residual", el_residual(spec, c, profile))
+    check("first_integral", first_integral_residual(spec, c, profile))
 
-    r_right, r_left, r_slope = halfline_identities(spec, c, profile)
-    checks["halfline_right"] = (r_right, th.halfline, r_right <= th.halfline)
-    checks["halfline_left"] = (r_left, th.halfline, r_left <= th.halfline)
-    checks["halfline_slope"] = (r_slope, th.halfline, r_slope <= th.halfline)
-
-    jg = jump_gap(spec, c, gamma_hat, profile)
-    checks["jump_gap"] = (jg, th.jump_gap, jg <= th.jump_gap)
+    for name, r in zip(("halfline_right", "halfline_left", "halfline_slope"),
+                       halfline_identities(spec, c, profile)):
+        check(name, r)
+    check("jump_gap", jump_gap(spec, c, gamma_hat, profile))
 
     try:
         lam_fit, lam_theory = fit_decay_rate(spec, consts, c, profile)
-        decay_ok = (
-            abs(lam_fit - lam_theory) <= th.decay_fit
-            and lam_fit >= c - th.decay_margin_over_c
-        )
     except TailError:
-        lam_fit = float("nan")
-        decay_ok = False
-    checks["decay_rate"] = (lam_fit, th.decay_fit, decay_ok)
+        lam_fit = lam_theory = float("nan")  # fails both comparisons
+    check("decay_rate", lam_fit, abs(lam_fit - lam_theory) <= THRESHOLDS["decay_rate"]
+          and lam_fit >= c - DECAY_MARGIN)
 
-    grad_norm, _, dist_e, well = left_tail_report(spec, consts, profile)
-    checks["left_tail_grad"] = (grad_norm, th.left_tail_grad, grad_norm <= th.left_tail_grad)
+    grad_norm, dist_e, well = left_tail_report(spec, consts, profile)
+    check("left_tail_grad", grad_norm)
     # which equilibrium the left tail approaches is reported, never asserted
     checks["dist_to_equilibria"] = (dist_e, None, True)
 
     try:
         sg = shooting_check(spec, consts, c, profile)
-        shoot_ok = sg <= th.shooting_gap
     except WaveSolverError:
         sg = float("inf")
-        shoot_ok = False
-    checks["shooting_gap"] = (sg, th.shooting_gap, shoot_ok)
+    check("shooting_gap", sg)
 
     passed = all(ok for _, _, ok in checks.values())
     return VerifyReport(checks=checks, passed=passed, left_tail_well=well)

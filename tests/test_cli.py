@@ -121,7 +121,14 @@ alpha = 0.6
         ("mode.c_list", SCALAR, "[grid]\nh = 0.05\n[mode]\nc_list = 0.5, nan"),
         ("solver.penalty_kappa", SCALAR,
          "[grid]\nh = 0.05\n[solver]\npenalty_kappa = nan\n[mode]\nc = 0.6"),
-    ], ids=["box", "terms", "x_left", "x_right", "c_list", "penalty_kappa"])
+        # out of the family's range: the constructors hold the ranges
+        ("potential.alpha", "variant = scalar_cubic\nalpha = 3.0", ""),
+        ("potential.alpha, potential.beta",
+         "variant = decoupled_quartic\nalpha = 1.2\nbeta = 0.6", ""),
+        ("potential.terms", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; -1.0 -2\n"
+                            "well_b = 1.0\nbox = -2:2", ""),
+    ], ids=["box", "terms", "x_left", "x_right", "c_list", "penalty_kappa",
+            "alpha", "alpha_beta", "exponent"])
     def test_bad_number_exits_1_and_names_key(self, tmp_path, capsys, key, potential, extra):
         cfg = write_config(tmp_path, f"[potential]\n{potential}\n{extra}\n"
                                      f"[output]\ndirectory = {tmp_path / 'out'}\n")

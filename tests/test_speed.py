@@ -1,4 +1,4 @@
-"""Root finding for the wave speed and the wave-at-speed accessor."""
+"""Root finding for the wave speed, and the minimum-energy solves it runs."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from gradwave import (
     BracketFailureError,
     Grid,
     MinimizeOptions,
-    NotAWaveError,
     compute_bounds,
     compute_constants,
     derivative,
@@ -19,15 +18,8 @@ from gradwave import (
     gamma_curve,
     segment_profile,
     user_polynomial,
-    wave_at_speed,
 )
-from gradwave.speed import (
-    Probes,
-    gamma_zero_tol,
-    seed_points,
-    speed_subgrid,
-    transfer_profile,
-)
+from gradwave.speed import Probes, seed_points, speed_subgrid, transfer_profile
 from gradwave.verify import run_verify
 from conftest import make_grid, quartic_well_terms
 
@@ -50,7 +42,8 @@ class TestFindSpeedScalar:
 
     def test_gamma_small_at_root(self, scalar_speed, scalar_consts):
         res, _, _ = scalar_speed
-        assert abs(res.gamma_at_c_star) <= gamma_zero_tol(scalar_consts, res.c_star)
+        # zero to within the energy's natural size, 1 + m / c
+        assert abs(res.gamma_at_c_star) <= 5e-3 * (1.0 + scalar_consts.m / res.c_star)
 
 
 class TestFindSpeedDecoupled:
@@ -117,18 +110,13 @@ class TestFindSpeedPolynomial:
 
 
 class TestWaveAtSpeed:
+    """The minimizer at a known wave speed, from a one-speed ``gamma_curve``."""
+
     def test_scalar_wave_has_continuous_slope(self, scalar_spec, scalar_consts):
         grid = make_grid(scalar_consts, 0.6, h=0.01)
-        prof = wave_at_speed(scalar_spec, scalar_consts, grid, 0.6,
-                             MinimizeOptions(opt_tol=1e-6))
-        der = derivative(prof)
+        res, = gamma_curve(scalar_spec, scalar_consts, grid, [0.6], MinimizeOptions(opt_tol=1e-6))
+        der = derivative(res.profile)
         assert float(np.linalg.norm(der.right_at_zero - der.left_at_zero)) <= 5e-3
-
-    def test_wrong_speed_rejected(self, scalar_spec, scalar_consts):
-        grid = make_grid(scalar_consts, 0.9, h=0.02)
-        with pytest.raises(NotAWaveError):
-            wave_at_speed(scalar_spec, scalar_consts, grid, 0.9,
-                          MinimizeOptions(opt_tol=1e-5))
 
 
 class TestSubgrid:
@@ -307,6 +295,27 @@ def test_bracket_failure_carries_the_probe_table(scalar_spec, scalar_consts, mon
         uppers.append(uppers[-1] * 1.5)
     assert [c for c, _ in table[1:]] == uppers
     assert all(g < 0 for _, g in table)
+
+
+@pytest.mark.parametrize("end, start, last", [
+    # the sixth expansion's probe is the first with the right sign: it ends
+    # the bracket instead of failing the run
+    ("bracket_hi", 0.06, 0.683438),   # gamma = +0.191 there
+    ("bracket_lo", 5.0, 0.438957),    # gamma = -0.542 there
+])
+def test_last_expansion_probe_can_close_the_bracket(end, start, last, scalar_spec,
+                                                    scalar_consts, monkeypatch):
+    real = speed.compute_bounds
+    monkeypatch.setattr(speed, "compute_bounds",
+                        lambda *args: dataclasses.replace(real(*args), **{end: start}))
+    lo = compute_bounds(scalar_spec, scalar_consts, 1.0).bracket_lo
+    grid = make_grid(scalar_consts, lo, h=0.05)
+    res = find_speed(scalar_spec, scalar_consts, grid, MinimizeOptions(), 1e-3)
+    c_lo, c_hi, g_lo, g_hi = res.bracket_history[0]
+    c_end = c_hi if end == "bracket_hi" else c_lo
+    assert c_end == pytest.approx(last, abs=1e-6)
+    assert g_lo < 0 < g_hi
+    assert res.c_star == pytest.approx(0.6, abs=1e-3)
 
 
 @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
