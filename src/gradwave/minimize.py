@@ -17,6 +17,11 @@ is judged by the norm of the gradient's Riesz representative in the
 weighted H^1 inner product (a tridiagonal solve), which does not degrade
 as the grid is refined.  A race between seeds gives each a few Newton steps
 and minimizes only the best.
+
+This is the only module that uses scipy, and it imports ``scipy.linalg``
+inside the routines that call LAPACK, so the library loads at the first
+descent: analysing a potential, computing bounds and verifying a profile
+never load it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
-from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
 from .errors import ContractViolationError, InfeasibleMinimizerError, WaveSolverError
 from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds
@@ -104,8 +107,21 @@ _ARMIJO_SHRINK = 0.5
 _RACE_BUDGET = 4
 
 
+def cho_solve_banded(cb_and_lower, b):
+    """``scipy.linalg.cho_solve_banded``, loaded at its first call.
+
+    A module global that ``_newton_direction`` calls by name, so that
+    perfbench/layertrace.py can wrap it to count and time the band solves.
+    """
+    from scipy.linalg import cho_solve_banded
+
+    return cho_solve_banded(cb_and_lower, b)
+
+
 def _factor_preconditioner(op: WeightedEnergy, sigma: float):
     """LDL^T factor of the tridiagonal weighted H^1 operator, right node removed."""
+    from scipy.linalg.lapack import dpttrf
+
     stiff = op.stiff[:, 0]
     lump = op.lump[:, 0]
     # free nodes are 0..N-2; cell k couples nodes k and k+1, and the last cell
@@ -188,6 +204,8 @@ def _newton_direction(op: WeightedEnergy, ab, g):
     """
     if not np.isfinite(ab).all():
         return None
+    from scipy.linalg.lapack import dpbtrf
+
     shift = op.lump[:-1].ravel()
     sigma = 0.0
     while sigma <= _SHIFT_MAX:
@@ -221,6 +239,8 @@ def _descent(spec, params, grid, values0, opts):
     longer resolve a decrease in double precision while the displacement norm
     is already far below any physical scale.
     """
+    from scipy.linalg.lapack import dpttrs
+
     op = WeightedEnergy(spec, params, grid, opts.penalty_kappa)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])

@@ -9,6 +9,7 @@ new profile.  Interpolation is piecewise linear throughout.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,12 @@ class Grid:
         object.__setattr__(self, "nodes", x)
         if x.ndim != 1 or x.size < 3:
             raise ContractViolationError("grid needs at least 3 nodes")
-        if np.any(np.diff(x) <= 0):
+        # written as "not x > 0" so that NaN fails too; with finite ends,
+        # strictly increasing nodes are all finite
+        if not np.all(np.diff(x) > 0):
             raise ContractViolationError("grid nodes must be strictly increasing")
+        if not (np.isfinite(x[0]) and np.isfinite(x[-1])):
+            raise ContractViolationError("grid end nodes must be finite")
         zero = np.nonzero(x == 0.0)[0]
         if zero.size != 1:
             raise ContractViolationError("grid must contain 0 exactly once")
@@ -288,20 +293,19 @@ def write_csv(path, profile: Profile, spec: PotentialSpec) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _is_float(text: str) -> bool:
+def _is_finite(text: str) -> bool:
     try:
-        float(text)
+        return math.isfinite(float(text))
     except ValueError:
         return False
-    return True
 
 
 def read_csv(path, spec: PotentialSpec) -> Profile:
     """Read a profile CSV, checking every field and the derived columns.
 
     Raises ContractViolationError, naming the line and column, for a field
-    that is not a number, and for a W or du_norm entry that disagrees with
-    the profile beyond ``_CSV_W_TOL`` or ``_CSV_DU_TOL``.
+    that is not a finite number, and for a W or du_norm entry that disagrees
+    with the profile beyond ``_CSV_W_TOL`` or ``_CSV_DU_TOL``.
     """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -329,11 +333,14 @@ def read_csv(path, spec: PotentialSpec) -> Profile:
         # numpy parses each field as float() does, so every column is checked
         table = np.array(rows, dtype=float).reshape(-1, len(expected))
     except ValueError:
+        table = None
+    if table is None or not np.isfinite(table).all():
         line, row, col = next((line, row, k) for line, row in zip(lines, rows)
-                              for k, v in enumerate(row) if not _is_float(v))
+                              for k, v in enumerate(row) if not _is_finite(v))
         raise ContractViolationError(
-            f"profile CSV line {line}, column '{expected[col]}': {row[col]!r} is not a number"
-        ) from None
+            f"profile CSV line {line}, column '{expected[col]}': {row[col]!r} "
+            "is not a finite number"
+        )
     grid = Grid(nodes=table[:, 0].copy())
     values = table[:, 1 : 1 + spec.dim].copy()
     if not np.array_equal(values[-1], spec.well_b):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -605,6 +606,25 @@ directory = {out}
         err = capsys.readouterr().err
         assert "line 4" in err and "column 'u1'" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("col, text", [(1, "inf"), (1, "nan"), (0, "nan")])
+    def test_non_finite_field_exits_2(self, tmp_path, scalar_spec, capsys, col, text):
+        # rejected as read, before any check computes on it or a derived
+        # column is blamed
+        path = self._write_wave_csv(tmp_path, scalar_spec)
+        lines = path.read_text().split("\n")
+        fields = lines[3].split(",")
+        fields[col] = text
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, self.VERIFY_CONFIG.format(out=tmp_path / "out"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", cfg, "--profile", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        name = ("x", "u1")[col]
+        assert f"line 4, column '{name}': {text!r} is not a finite number" in err
+
     @pytest.mark.parametrize("col, name", [(-2, "W"), (-1, "du_norm")])
     def test_non_numeric_derived_column_exits_2(self, tmp_path, scalar_spec, capsys,
                                                 col, name):
@@ -727,11 +747,45 @@ directory = {tmp_path / "out2"}
         analysed_once()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path, scalar_spec):
     # importing scipy.optimize costs a fresh process about 0.4 s; nothing in
-    # the package needs it
+    # the package needs it.  scipy.linalg costs about 0.2 s and 20 MB, and
+    # only the descent needs it, so bounds and verify never load it and the
+    # first minimize_profile does
+    grid = Grid.uniform(-50.0, 21.0, 0.01)
+    vals = np.tanh(grid.nodes + X0_TANH)[:, None]
+    vals[-1] = 1.0
+    wave = tmp_path / "wave.csv"
+    write_csv(wave, Profile(grid=grid, values=vals, well_b=np.array([1.0])), scalar_spec)
+    cfg = write_config(tmp_path, f"[potential]\n{SCALAR}\n\n[mode]\nc = 0.6\n\n"
+                                 f"[output]\ndirectory = {tmp_path / 'out'}\n")
     src = str(Path(gradwave.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import gradwave.cli, sys; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"""
+import json, sys
+def loaded():
+    return [name for name in ("scipy.optimize", "scipy.linalg") if name in sys.modules]
+stages = {{}}
+import gradwave
+stages["import gradwave"] = loaded()
+import gradwave.cli
+stages["import gradwave.cli"] = loaded()
+assert gradwave.cli.main(["bounds", "--config", {cfg!r}]) == 0
+stages["bounds"] = loaded()
+assert gradwave.cli.main(["verify", "--config", {cfg!r}, "--profile", {str(wave)!r}]) == 0
+stages["verify"] = loaded()
+spec = gradwave.scalar_cubic(0.6)
+consts = gradwave.compute_constants(spec)
+grid = gradwave.Grid.uniform(-20.0, 12.0, 0.05)
+gradwave.minimize_profile(spec, consts, gradwave.FunctionalParams(c=0.5), grid,
+                          gradwave.segment_profile(spec, grid, consts.point_a),
+                          gradwave.MinimizeOptions(opt_tol=1e-6))
+stages["minimize_profile"] = loaded()
+print(json.dumps(stages))
+"""
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "import gradwave": [], "import gradwave.cli": [], "bounds": [], "verify": [],
+        "minimize_profile": ["scipy.linalg"]}

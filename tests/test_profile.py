@@ -53,6 +53,14 @@ class TestGrid:
         with pytest.raises(ContractViolationError):
             Grid(nodes=np.array([-1.0, 0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("nodes", [[-1.0, -0.5, 0.0, np.nan, 1.0],
+                                       [-np.inf, -0.5, 0.0, 0.5, 1.0],
+                                       [-1.0, -0.5, 0.0, 0.5, np.inf]])
+    def test_non_finite_nodes_rejected(self, nodes):
+        # a NaN difference compares False both ways, and -inf < 0 < inf
+        with pytest.raises(ContractViolationError):
+            Grid(nodes=np.array(nodes))
+
 
 class TestDerivative:
     def test_constant_profile(self):
