@@ -19,16 +19,18 @@ robustness rules shape the solves and their callers:
   keeps the exponential weight within double-precision range;
 * the minimum energy is an infimum over a constraint set that does not
   depend on the speed, so ``find_speed`` takes its signs from two facts.  A
-  feasible profile with negative energy proves a negative sign: at the lower
-  bracket end the cold seeds (one segment profile per well) are evaluated
-  before any descent runs.  A positive sign at one speed holds at every
-  larger speed: a found local minimum can only overestimate the minimum, so
-  only the upper end of the final bracket, if it came from a warm probe, is
-  cross-checked by a cold run raced from every well (profiles seeded from
-  the wrong well shed their extra fronts only logarithmically slowly, so
-  seeding from each well is what makes the cold estimates reliable).  A
-  cross-check that finds a negative minimum moves the lower end there and
-  resumes the bisection.
+  feasible profile with negative energy proves a negative sign: before any
+  descent, the cold seeds (one segment profile per well) are evaluated at
+  the lower bracket end, and at each bisection probe its warm start.  A
+  descent from that start would only lower its energy, so such a
+  certificate can correct a sign but never flip a right one.  A positive
+  sign at one speed holds at every larger speed: a found local minimum can
+  only overestimate the minimum, so only the upper end of the final
+  bracket, if it came from a warm probe, is cross-checked by a cold run
+  raced from every well (profiles seeded from the wrong well shed their
+  extra fronts only logarithmically slowly, so seeding from each well is
+  what makes the cold estimates reliable).  A cross-check that finds a
+  negative minimum moves the lower end there and resumes the bisection.
 
 So once the bisection ends, the upper end of the bracket has a cold
 minimizer, within c_tol / 2 of the midpoint c*.  The final solve at c*
@@ -58,10 +60,10 @@ _PROBE_OPT_TOL = 1e-5
 class SpeedResult:
     """Root of the minimum-energy function with its bisection history.
 
-    Each ``bracket_history`` row is ``(c_lo, c_hi, gamma_lo, gamma_hi)``.  When
-    a cold seed certifies the sign at the lower bracket end, the first row's
-    ``gamma_lo`` is that seed's energy: an upper bound on the minimum energy
-    there, not a minimum.
+    Each ``bracket_history`` row is ``(c_lo, c_hi, gamma_lo, gamma_hi)``.  Any
+    ``gamma_lo`` may be the energy of a start that certified the sign without
+    a descent (a cold seed at the lower bracket end, a warm start inside the
+    bracket): an upper bound on the minimum energy there, not a minimum.
     """
 
     c_star: float
@@ -122,7 +124,7 @@ class Probes:
     resampled onto a sub-grid it equals the segment profile built there bit
     for bit.  ``results`` maps each solved speed to its result, ``cold``
     holds the speeds solved cold, and ``table`` lists every ``(c, gamma)``
-    in order, seed bounds included.
+    in order, bounds included.
     """
 
     def __init__(self, spec: PotentialSpec, consts: PotentialConstants, grid: Grid,
@@ -159,16 +161,20 @@ class Probes:
         """The solved speed closest to c, or None before the first solve."""
         return min(self.results, key=lambda ck: abs(ck - c), default=None)
 
-    def seed_bound(self, c: float) -> float | None:
-        """Energy at c of the first seed that is feasible with negative energy, or None.
+    def bound(self, c: float, start: float | None = None) -> float | None:
+        """Energy at c of the first feasible start with negative energy, or None.
 
-        Any feasible profile bounds the minimum energy from above, so such a
-        seed settles a negative sign without a descent.
+        The starts are the minimizer at the solved speed ``start``, else the
+        seeds, each resampled onto the sub-grid and recentred as a descent
+        would start from it.  Any feasible profile bounds the minimum energy
+        from above, so such a start settles a negative sign without a
+        descent.  A bound is recorded in ``table`` only, never as a result.
         """
         sub = speed_subgrid(self.grid, self.consts, c)
         op = WeightedEnergy(self.spec, FunctionalParams(c=c), sub)
-        for seed in self.seeds:
-            u = translate_to_crossing(self.spec, transfer_profile(seed, sub)).values
+        inits = self.seeds if start is None else [self.results[start].profile]
+        for init in inits:
+            u = translate_to_crossing(self.spec, transfer_profile(init, sub)).values
             J, _, w = op.value(u)
             if J < 0 and op.violation(w) <= self.opts.feas_tol:
                 self.table.append((c, J))
@@ -187,13 +193,14 @@ def find_speed(
 
     The bracket endpoints come from the analytic bounds; if an endpoint has
     the wrong sign (possible on a coarse grid) the bracket is expanded
-    geometrically, with a hard failure after a few expansions.  A lower end
-    is negative without any descent when one of its cold seeds is feasible
-    with negative energy (``Probes.seed_bound``).  Interior probes are
-    warm-started from the minimizer at the nearest solved speed.  Once the
-    bracket is narrower than ``c_tol``, its upper end is solved cold if it
-    came from a warm probe; a negative cold result makes it the lower end,
-    the next larger positive probe the upper end, and the bisection resumes.
+    geometrically, with a hard failure after a few expansions.  Interior
+    probes are warm-started from the minimizer at the nearest solved speed.
+    A lower end or an interior probe is negative without any descent when
+    its start (the cold seeds, or the warm start) is feasible with negative
+    energy (``Probes.bound``).  Once the bracket is narrower than ``c_tol``,
+    its upper end is solved cold if it came from a warm probe; a negative
+    cold result makes it the lower end, the next larger positive probe the
+    upper end, and the bisection resumes.
     The returned profile is the minimizer at the midpoint, started from the
     cold minimizer at the final upper end and living on the sub-range of the
     grid sized for that speed.
@@ -205,13 +212,13 @@ def find_speed(
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
     run = Probes(spec, consts, grid, replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL)))
 
-    # a seed bound is negative whenever it is not None
-    g_lo = run.seed_bound(c_lo) or run.solve(c_lo).gamma
+    # a bound is negative whenever it is not None
+    g_lo = run.bound(c_lo) or run.solve(c_lo).gamma
     for _ in range(_MAX_EXPANSIONS):
         if g_lo < 0:
             break
         c_lo /= _EXPAND_FACTOR
-        g_lo = run.seed_bound(c_lo) or run.solve(c_lo).gamma
+        g_lo = run.bound(c_lo) or run.solve(c_lo).gamma
     if not g_lo < 0:
         raise BracketFailureError(
             f"no negative minimum energy found down to c={c_lo:g}", probes=run.table
@@ -232,7 +239,8 @@ def find_speed(
     while True:
         while c_hi - c_lo > c_tol:
             c_mid = 0.5 * (c_lo + c_hi)
-            g_mid = run.solve(c_mid, run.nearest(c_mid)).gamma
+            near = run.nearest(c_mid)
+            g_mid = run.bound(c_mid, near) or run.solve(c_mid, near).gamma
             if g_mid == 0.0:
                 c_lo = c_hi = c_mid
                 g_lo = g_hi = 0.0

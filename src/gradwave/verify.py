@@ -24,7 +24,7 @@ from .errors import (
 )
 from .functional import FunctionalParams, WeightedEnergy, decay_rate
 from .potential import PROJ_TOL, PotentialConstants, PotentialSpec, golden_section_min
-from .profile import Profile, centered_difference, derivative, second_derivative
+from .profile import Profile, _one_sided, centered_difference, derivative, second_derivative
 
 # Nothing here calls these: perfbench/layertrace.py wraps them by name until
 # the next benchmark change drops them (ROADMAP item 1).
@@ -101,33 +101,32 @@ def el_residual(spec: PotentialSpec, c: float, profile: Profile) -> float:
 def first_integral_residual(spec: PotentialSpec, c: float, profile: Profile) -> float:
     """Max residual of the first integral, evaluated separately on each side of 0.
 
-    The conserved combination differentiates the profile twice through
-    divided differences, so this check is one order looser than the ODE
-    residual.
+    The derivative of the conserved combination is centred at interior nodes
+    and one-sided, from the three nodes nearest 0 on its side, at each node
+    beside 0: the slope may jump at 0, so no stencil reaches across it and
+    the residual is second order in the grid spacing.
     """
     x = profile.grid.nodes
-    u = profile.values
     iz = profile.grid.index_zero
-    der = derivative(profile)
-    du = der.values
-    w = spec.value(u)
+    du = derivative(profile).values
     speed2 = np.sum(du * du, axis=1)
+    xi = 0.5 * speed2 - spec.value(profile.values)
 
     out = 0.0
-    # left side, using the left-sided slope at the node pinned to 0
+    # left side, nodes 1 .. iz - 1
     if iz >= 3:
-        s2 = speed2[: iz + 1].copy()
-        s2[iz] = float(np.dot(der.left_at_zero, der.left_at_zero))
-        xi = 0.5 * s2 - w[: iz + 1]
-        res = centered_difference(x[: iz + 1], xi) + c * s2[1:-1]
-        out = max(out, float(np.max(np.abs(res))))
-    # right side, using the right-sided slope at the node pinned to 0
+        dxi = np.empty(iz - 1)
+        dxi[:-1] = centered_difference(x[:iz], xi[:iz])
+        dxi[-1] = -_one_sided(xi[iz - 1], xi[iz - 2], xi[iz - 3],
+                              x[iz - 1] - x[iz - 2], x[iz - 2] - x[iz - 3])
+        out = max(out, float(np.max(np.abs(dxi + c * speed2[1:iz]))))
+    # right side, nodes iz + 1 .. n - 2
     if x.size - iz >= 4:
-        s2 = speed2[iz:].copy()
-        s2[0] = float(np.dot(der.right_at_zero, der.right_at_zero))
-        xi = 0.5 * s2 - w[iz:]
-        res = centered_difference(x[iz:], xi) + c * s2[1:-1]
-        out = max(out, float(np.max(np.abs(res))))
+        dxi = np.empty(x.size - iz - 2)
+        dxi[0] = _one_sided(xi[iz + 1], xi[iz + 2], xi[iz + 3],
+                            x[iz + 2] - x[iz + 1], x[iz + 3] - x[iz + 2])
+        dxi[1:] = centered_difference(x[iz + 1:], xi[iz + 1:])
+        out = max(out, float(np.max(np.abs(dxi + c * speed2[iz + 1:-1]))))
     return out
 
 

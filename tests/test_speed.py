@@ -218,6 +218,14 @@ def logged(request):
     return request.getfixturevalue(request.param)
 
 
+class NoCertificate(speed.WeightedEnergy):
+    """The weighted energy shifted above 0: no start certifies a negative sign."""
+
+    def value(self, u):
+        J, P, w = super().value(u)
+        return abs(J) + 1.0, P, w
+
+
 class TestSignCertificates:
     def test_no_descent_at_lower_bracket_end(self, logged):
         res, calls, bounds = logged
@@ -231,8 +239,12 @@ class TestSignCertificates:
         checks = [c for c, is_warm in calls if not is_warm and c in warm]
         assert checks == [res.bracket_history[-1][1]]
 
-    def test_wrong_warm_sign_resumes_bisection(self, scalar_logged, scalar_spec, scalar_consts):
-        # warm probes just below the root report a positive energy; cold runs stay true
+    def test_wrong_warm_sign_resumes_bisection(self, scalar_logged, scalar_spec, scalar_consts,
+                                               monkeypatch):
+        # warm probes just below the root report a positive energy; cold runs
+        # stay true.  A certificate would settle those probes before any
+        # descent, so none is issued here.
+        monkeypatch.setattr(speed, "WeightedEnergy", NoCertificate)
         c0 = scalar_logged[0].c_star
         flipped = []
 
@@ -254,13 +266,38 @@ class TestSignCertificates:
         checks = [c for c, is_warm in calls if not is_warm and c in warm]
         assert len(checks) <= len(flipped) + 1
 
+    @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
+    def test_certificates_change_no_sign(self, builtin, request, monkeypatch):
+        spec = request.getfixturevalue(f"{builtin}_spec")
+        consts = request.getfixturevalue(f"{builtin}_consts")
+        res, calls, _ = request.getfixturevalue(f"{builtin}_logged")
+        # the reference descends at every interior probe; the lower end keeps
+        # its seed bound
+        real = speed.Probes.bound
+
+        def seeds_only(self, c, start=None):
+            return None if start is not None else real(self, c)
+
+        monkeypatch.setattr(speed.Probes, "bound", seeds_only)
+        ref, _, _ = logged_find_speed(spec, consts)
+        assert res.c_star == ref.c_star
+        assert res.gamma_at_c_star == ref.gamma_at_c_star
+        assert res.profile.values.tobytes() == ref.profile.values.tobytes()
+        assert len(res.bracket_history) == len(ref.bracket_history)
+        for (c_lo, c_hi, g_lo, g_hi), (r_lo, r_hi, rg_lo, rg_hi) in zip(
+                res.bracket_history, ref.bracket_history):
+            assert (c_lo, c_hi, g_hi) == (r_lo, r_hi, rg_hi)
+            # a certificate is an upper bound on the minimum energy
+            assert rg_lo <= g_lo < 0
+        if builtin == "scalar":
+            # every negative warm start certifies its sign: only the positive
+            # bisection speeds and the final solve run a warm descent
+            warm = [c for c, is_warm in calls if is_warm]
+            assert warm[:-1] == pytest.approx([0.6816, 0.6277, 0.6008], abs=1e-4)
+            assert warm[-1] == res.c_star
+
     def test_fallback_without_negative_seed(self, scalar_logged, scalar_spec, scalar_consts,
                                             monkeypatch):
-        class NoCertificate(speed.WeightedEnergy):
-            def value(self, u):
-                J, P, w = super().value(u)
-                return abs(J) + 1.0, P, w
-
         monkeypatch.setattr(speed, "WeightedEnergy", NoCertificate)
         lo = compute_bounds(scalar_spec, scalar_consts, 1.0).bracket_lo
 

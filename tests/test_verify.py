@@ -17,7 +17,9 @@ from gradwave import (
     Profile,
     ShootingDivergenceError,
     TailError,
+    compute_bounds,
     compute_constants,
+    find_speed,
     minimize_profile,
     segment_profile,
     user_polynomial,
@@ -34,7 +36,7 @@ from gradwave.verify import (
     run_verify,
     shooting_check,
 )
-from conftest import V_STAR_12, X0_TANH, quartic_well_terms
+from conftest import V_STAR_12, X0_TANH, make_grid, quartic_well_terms
 
 
 def tanh_profile(h=0.01, x_left=-40.0 / 0.6, x_right=22.0, x0=X0_TANH, component=0, dim=1):
@@ -107,21 +109,28 @@ def centered_reference(x, f):
     )
 
 
+def one_sided_reference(f0, f1, f2, h1, h2):
+    """Second-order three-point slope at the first of three nodes."""
+    return (-(2 * h1 + h2) / (h1 * (h1 + h2)) * f0 + (h1 + h2) / (h1 * h2) * f1
+            - h1 / (h2 * (h1 + h2)) * f2)
+
+
 def first_integral_reference(spec, c, profile):
-    """first_integral_residual as first written, on centered_reference."""
+    """first_integral_residual on centered_reference, one-sided beside 0."""
     x, u, iz = profile.grid.nodes, profile.values, profile.grid.index_zero
     der = derivative(profile)
-    w = spec.value(u)
     speed2 = np.sum(der.values * der.values, axis=1)
-    out = 0.0
-    for sl, end, slope in ((slice(None, iz + 1), -1, der.left_at_zero),
-                           (slice(iz, None), 0, der.right_at_zero)):
-        s2 = speed2[sl].copy()
-        s2[end] = float(np.dot(slope, slope))
-        xi = 0.5 * s2 - w[sl]
-        res = centered_reference(x[sl], xi) + c * s2[1:-1]
-        out = max(out, float(np.max(np.abs(res))))
-    return out
+    xi = 0.5 * speed2 - spec.value(u)
+    left = np.append(
+        centered_reference(x[:iz], xi[:iz]),
+        -one_sided_reference(xi[iz - 1], xi[iz - 2], xi[iz - 3],
+                             x[iz - 1] - x[iz - 2], x[iz - 2] - x[iz - 3]))
+    right = np.insert(
+        centered_reference(x[iz + 1:], xi[iz + 1:]), 0,
+        one_sided_reference(xi[iz + 1], xi[iz + 2], xi[iz + 3],
+                            x[iz + 2] - x[iz + 1], x[iz + 3] - x[iz + 2]))
+    return max(float(np.max(np.abs(left + c * speed2[1:iz]))),
+               float(np.max(np.abs(right + c * speed2[iz + 1:-1]))))
 
 
 def halfline_energies_reference(spec, c, profile):
@@ -202,7 +211,20 @@ class TestFirstIntegral:
     def test_second_order_refinement(self, scalar_spec):
         r_coarse = first_integral_residual(scalar_spec, 0.6, tanh_profile(h=0.02))
         r_fine = first_integral_residual(scalar_spec, 0.6, tanh_profile(h=0.01))
-        assert r_coarse / r_fine >= 1.8
+        assert r_coarse / r_fine >= 3.5  # about 4 for a second-order scheme
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 3.0])
+    def test_scaled_well_passes(self, k):
+        # k^2 W has the wave u(k x) at speed 0.6 k; on a grid k times finer
+        # every check sees the same resolution as the unscaled wave at h = 0.02
+        terms = [(k * k * c, exps) for c, exps in quartic_well_terms((0.6,))]
+        spec = user_polynomial(1, terms, [1.0], [[-2.0, 2.0]])
+        consts = compute_constants(spec)
+        grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=0.02 / k)
+        res = find_speed(spec, consts, grid, MinimizeOptions(), 1e-3)
+        report = run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star)
+        assert report.checks["first_integral"][2]
+        assert report.passed
 
 
 class TestHalflineIdentities:
