@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ContractViolationError
-from .functional import decay_rate
 from .minimize import MinimizeOptions
 from .potential import PotentialSpec, decoupled_quartic, scalar_cubic, user_polynomial
 
@@ -58,29 +57,30 @@ def _finite(raw, section, key):
     return val
 
 
-def _get_float(cp, section, key, default=None, positive=False, nonnegative=False):
-    if not cp.has_option(section, key):
-        return default
-    val = _finite(cp.get(section, key), section, key)
-    if positive and not val > 0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {val}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{section}.{key}: must be nonnegative, got {val}")
-    return val
+_MUST = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "negative": lambda v: v < 0,
+}
 
 
-def _get_int(cp, section, key, default=None, positive=False, nonnegative=False):
+def _get(cp, section, key, default=None, kind=float, must=None):
+    """section.key as a finite float or an int, or default when absent.
+
+    ``must`` names a sign the value needs: positive, nonnegative or negative.
+    """
     if not cp.has_option(section, key):
         return default
     raw = cp.get(section, key)
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got '{raw}'")
-    if positive and not val > 0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {val}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{section}.{key}: must be nonnegative, got {val}")
+    if kind is int:
+        try:
+            val = int(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key}: expected an integer, got '{raw}'") from None
+    else:
+        val = _finite(raw, section, key)
+    if must is not None and not _MUST[must](val):
+        raise ConfigError(f"{section}.{key}: must be {must}, got {val}")
     return val
 
 
@@ -110,9 +110,9 @@ def load_config(path) -> RunConfig:
     if variant not in ("scalar_cubic", "decoupled_quartic", "user_polynomial"):
         raise ConfigError(f"potential.variant: unknown variant '{variant}'")
 
-    alpha = _get_float(cp, "potential", "alpha")
-    beta = _get_float(cp, "potential", "beta")
-    dim = _get_int(cp, "potential", "dim", positive=True)
+    alpha = _get(cp, "potential", "alpha")
+    beta = _get(cp, "potential", "beta")
+    dim = _get(cp, "potential", "dim", kind=int, must="positive")
     terms = None
     well_b = None
     box = None
@@ -165,33 +165,27 @@ def load_config(path) -> RunConfig:
         if len(box) != dim:
             raise ConfigError(f"potential.box: expected {dim} intervals")
 
-    x_left = None
-    x_right = None
-    if cp.has_option("grid", "x_left") and cp.get("grid", "x_left") != "auto":
-        x_left = _get_float(cp, "grid", "x_left")
-        if x_left is not None and x_left >= 0:
-            raise ConfigError(f"grid.x_left: must be negative, got {x_left}")
-    if cp.has_option("grid", "x_right") and cp.get("grid", "x_right") != "auto":
-        x_right = _get_float(cp, "grid", "x_right")
-        if x_right is not None and x_right <= 0:
-            raise ConfigError(f"grid.x_right: must be positive, got {x_right}")
-    h = _get_float(cp, "grid", "h", default=0.01, positive=True)
+    # an end left out or set to auto is sized for the run's lowest speed
+    ends = {key: None if cp.get("grid", key, fallback="auto") == "auto"
+            else _get(cp, "grid", key, must=must)
+            for key, must in (("x_left", "negative"), ("x_right", "positive"))}
+    h = _get(cp, "grid", "h", default=0.01, must="positive")
 
     # the benchmark inputs still write restarts and seed (ROADMAP item 1):
     # restarts is accepted only as 0, seed is checked and otherwise unused
-    if _get_int(cp, "solver", "restarts", default=0) != 0:
+    if _get(cp, "solver", "restarts", default=0, kind=int) != 0:
         raise ConfigError("solver.restarts: random restarts were removed; only 0 is accepted")
-    _get_int(cp, "solver", "seed", nonnegative=True)
+    _get(cp, "solver", "seed", kind=int, must="nonnegative")
     # a key left out takes its MinimizeOptions default
     solver = {
-        "opt_tol": _get_float(cp, "solver", "opt_tol", positive=True),
-        "penalty_kappa": _get_float(cp, "solver", "penalty_kappa", nonnegative=True),
-        "max_iters": _get_int(cp, "solver", "max_iters", positive=True),
-        "feas_tol": _get_float(cp, "solver", "feas_tol", positive=True),
+        "opt_tol": _get(cp, "solver", "opt_tol", must="positive"),
+        "penalty_kappa": _get(cp, "solver", "penalty_kappa", must="nonnegative"),
+        "max_iters": _get(cp, "solver", "max_iters", kind=int, must="positive"),
+        "feas_tol": _get(cp, "solver", "feas_tol", must="positive"),
     }
 
-    c = _get_float(cp, "mode", "c", positive=True)
-    c_tol = _get_float(cp, "mode", "c_tol", positive=True)
+    c = _get(cp, "mode", "c", must="positive")
+    c_tol = _get(cp, "mode", "c_tol", must="positive")
     c_list = None
     if cp.has_option("mode", "c_list"):
         c_list = _parse_floats(cp.get("mode", "c_list"), "mode", "c_list")
@@ -209,7 +203,7 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         variant=variant, alpha=alpha, beta=beta, dim=dim, terms=terms,
         well_b=well_b, box=box,
-        x_left=x_left, x_right=x_right, h=h,
+        **ends, h=h,
         solver=MinimizeOptions(**{k: v for k, v in solver.items() if v is not None}),
         c=c, c_list=c_list, c_tol=c_tol,
         directory=directory, report=report, raw=raw,
@@ -230,7 +224,3 @@ def build_potential(cfg: RunConfig) -> PotentialSpec:
                 "decoupled_quartic": "potential.alpha, potential.beta"}
         raise ConfigError(f"{keys.get(cfg.variant, 'potential.terms')}: {err}") from None
 
-
-def auto_grid_bounds(consts, c_floor: float) -> tuple:
-    """Default truncation: left tail sized by the weight, right by the decay rate."""
-    return -40.0 / c_floor, 40.0 / decay_rate(consts, c_floor)

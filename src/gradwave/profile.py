@@ -209,9 +209,13 @@ def segment_profile(spec: PotentialSpec, grid: Grid, left_point) -> Profile:
     j = int(negs[-1])
     if j == len(ts) - 1:
         raise ContractViolationError("negative region touches the reference well")
+    # up to 80 halvings; once the midpoint rounds to an end, no later one
+    # moves the midpoint t0 taken below
     t_lo, t_hi = ts[j], ts[j + 1]
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid == t_lo or t_mid == t_hi:
+            break
         if float(spec.value(a + t_mid * (b - a))) < 0:
             t_lo = t_mid
         else:

@@ -64,13 +64,20 @@ class SpeedResult:
     ``gamma_lo`` may be the energy of a start that certified the sign without
     a descent (a cold seed at the lower bracket end, a warm start inside the
     bracket): an upper bound on the minimum energy there, not a minimum.
+    The energy and the profile at ``c_star`` are those of ``gamma_result``.
     """
 
     c_star: float
-    gamma_at_c_star: float
     bracket_history: list
-    profile: Profile
     gamma_result: GammaResult
+
+    @property
+    def gamma_at_c_star(self) -> float:
+        return self.gamma_result.gamma
+
+    @property
+    def profile(self) -> Profile:
+        return self.gamma_result.profile
 
     def as_dict(self) -> dict:
         return {
@@ -81,12 +88,18 @@ class SpeedResult:
         }
 
 
+def auto_grid_bounds(consts: PotentialConstants, c: float) -> tuple:
+    """Truncation for speeds from c up: left tail sized by the weight, right by the decay rate."""
+    return -40.0 / c, 40.0 / decay_rate(consts, c)
+
+
 def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
-    """Sub-range of a grid sized for one speed: x in [-40/c, 40/decay_rate]."""
+    """Sub-range of a grid sized for one speed by ``auto_grid_bounds``."""
     nodes = grid.nodes
     iz = grid.index_zero
-    xl = max(grid.x_left, -40.0 / c)
-    xr = min(grid.x_right, 40.0 / decay_rate(consts, c))
+    lo, hi = auto_grid_bounds(consts, c)
+    xl = max(grid.x_left, lo)
+    xr = min(grid.x_right, hi)
     i_lo = int(np.searchsorted(nodes, xl, side="left"))
     i_hi = int(np.searchsorted(nodes, xr, side="right"))
     i_lo = max(0, min(i_lo, iz - 2))
@@ -208,7 +221,8 @@ def find_speed(
     if not c_tol > 0:
         raise ContractViolationError("c_tol must be positive")
 
-    bounds = compute_bounds(spec, consts, max(1.0, c_tol))
+    # the bracket does not depend on the speed the bounds are taken at
+    bounds = compute_bounds(spec, consts, 1.0)
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
     run = Probes(spec, consts, grid, replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL)))
 
@@ -268,13 +282,7 @@ def find_speed(
     # c_hi is named because the midpoint is equally near both ends
     c_star = 0.5 * (c_lo + c_hi)
     final = run.solve(c_star, c_hi, opts)
-    return SpeedResult(
-        c_star=c_star,
-        gamma_at_c_star=final.gamma,
-        bracket_history=history,
-        profile=final.profile,
-        gamma_result=final,
-    )
+    return SpeedResult(c_star=c_star, bracket_history=history, gamma_result=final)
 
 
 def gamma_curve(

@@ -20,7 +20,7 @@ from gradwave import (
     gamma_curve,
     scalar_cubic,
 )
-from gradwave.config import auto_grid_bounds
+from gradwave.speed import auto_grid_bounds
 
 # frozen oracle values (independent derivations: symbolic integration of the
 # quartic wells, 1-D bisection for the zero-set crossings, quadrature for the

@@ -102,13 +102,18 @@ c_list =
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["bounds", "--config", str(tmp_path / "nope.ini")]) == 1
 
-    def test_gamma_requires_mode(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, """
-[potential]
-variant = scalar_cubic
-alpha = 0.6
-""")
-        assert main(["gamma", "--config", cfg]) == 1
+    @pytest.mark.parametrize("command, message", [
+        ("gamma", "mode.c or mode.c_list is required for the gamma command"),
+        ("speed", "mode.c_tol is required for the speed command"),
+        ("verify", "mode.c is required for the verify command"),
+    ], ids=["gamma", "speed", "verify"])
+    def test_mode_key_required(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"[potential]\n{SCALAR}\n[output]\ndirectory = {out}\n")
+        extra = ["--profile", str(tmp_path / "wave.csv")] if command == "verify" else []
+        assert main([command, "--config", cfg, *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     # without the check these end in a traceback, exit 2 as solver errors, or
     # (penalty_kappa = nan) silently switch the penalty off
@@ -745,6 +750,42 @@ directory = {tmp_path / "out2"}
 """, name="verify.ini")
         assert main(["verify", "--config", cfg2, "--profile", str(out / "wave.csv")]) == 0
         analysed_once()
+
+
+@pytest.mark.parametrize("command", ["speed", "verify"])
+def test_stdout_lists_checks_then_report(tmp_path, monkeypatch, capsys, scalar_spec, command):
+    # speed first prints c*; both then print one line per check, in the
+    # order run_verify made them, and last the report's path
+    reports = []
+    run_verify = gradwave.cli.run_verify
+
+    def recorded(*args):
+        reports.append(run_verify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(gradwave.cli, "run_verify", recorded)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, SCALAR_SPEED_CONFIG.format(out=out)
+                       .replace("c_tol = 5e-3", "c_tol = 5e-3\nc = 0.6"))
+    argv = [command, "--config", cfg]
+    if command == "verify":
+        grid = Grid.uniform(-50.0, 21.0, 0.01)
+        vals = np.tanh(grid.nodes + X0_TANH)[:, None]
+        vals[-1] = 1.0
+        write_csv(tmp_path / "wave.csv", Profile(grid=grid, values=vals, well_b=np.array([1.0])),
+                  scalar_spec)
+        argv += ["--profile", str(tmp_path / "wave.csv")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text())
+    (checks,) = [r.checks for r in reports]
+    expected = [f"  {name:20s} {val:12.6g}  {'PASS' if ok else 'FAIL'}"
+                for name, (val, _, ok) in checks.items()]
+    if command == "speed":
+        res = report["result"]
+        expected.insert(0, f"c* = {res['c_star']:.6g}   gamma(c*) = {res['gamma_at_c_star']:+.3e}")
+    assert lines == expected + [f"report: {out / 'report.json'}"]
+    assert [line.split()[0] for line in lines[-1 - len(checks):-1]] == list(checks)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path, scalar_spec):

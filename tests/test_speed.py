@@ -45,6 +45,15 @@ class TestFindSpeedScalar:
         # zero to within the energy's natural size, 1 + m / c
         assert abs(res.gamma_at_c_star) <= 5e-3 * (1.0 + scalar_consts.m / res.c_star)
 
+    def test_replaced_gamma_result_leaves_no_stale_copy(self, scalar_speed, scalar_curve):
+        # the energy and the profile at c* are read from gamma_result
+        res, _, _ = scalar_speed
+        other = scalar_curve[1][0]
+        moved = dataclasses.replace(res, gamma_result=other)
+        assert moved.gamma_at_c_star == other.gamma != res.gamma_at_c_star
+        assert moved.profile is other.profile
+        assert moved.as_dict()["gamma_at_c_star"] == other.gamma
+
 
 class TestFindSpeedDecoupled:
     def test_root_is_larger_parameter(self, decoupled_speed):
