@@ -15,8 +15,10 @@ with ``transfer_profile``.  The minimizer at one known speed c is
 robustness rules shape the solves and their callers:
 
 * each solve runs on a sub-range of the caller's grid sized for its speed
-  (left end at -40/c, right end at 40 over the tail decay rate), which
-  keeps the exponential weight within double-precision range;
+  by ``auto_grid_bounds``: the left end where the energy the cut drops,
+  at most m e^{c x_L} / c, is 1e-10, and the right end at 40 over the tail
+  decay rate.  Both keep the exponential weight within double-precision
+  range;
 * the minimum energy is an infimum over a constraint set that does not
   depend on the speed, so ``find_speed`` takes its signs from two facts.  A
   feasible profile with negative energy proves a negative sign: before any
@@ -88,9 +90,30 @@ class SpeedResult:
         }
 
 
+# energy that truncating the line at the left end of a grid may drop
+TRUNCATION_EPS = 1e-10
+
+
 def auto_grid_bounds(consts: PotentialConstants, c: float) -> tuple:
-    """Truncation for speeds from c up: left tail sized by the weight, right by the decay rate."""
-    return -40.0 / c, 40.0 / decay_rate(consts, c)
+    """Truncation for speeds from c up: left end sized by the energy it drops.
+
+    Left of the front a profile sits at a well, where W >= -m, so cutting
+    the line at x_L changes the minimum energy by at most m e^{c x_L} / c.
+    The left end is where that bound equals eps = ``TRUNCATION_EPS``,
+    x_L = -ln(m / (c eps)) / c, but no nearer to 0 than one weight length
+    1/c, which on a well shallower than m = e c eps drops less than eps.
+    It increases with c, so the range for a larger speed lies inside that
+    for c.  The shift moves c* by about eps / gamma'(c*), far below the
+    O(h^2) discretization error.
+
+    The right end stays at 40 tail decay lengths.  The decay fit of
+    ``verify`` reads its noise floor from the far quarter of the right
+    half, which holds only while the tail there is at roundoff,
+    A e^{-0.75 lambda x_R} <~ 1e-13, so x_R >~ 39 / lambda; on a shorter
+    range the "floor" would be the tail itself.
+    """
+    k = max(float(np.log(consts.m / (c * TRUNCATION_EPS))), 1.0)
+    return -k / c, 40.0 / decay_rate(consts, c)
 
 
 def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
