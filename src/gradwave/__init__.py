@@ -22,7 +22,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .functional import BoundsReport, FunctionalParams, WeightedEnergy, compute_bounds, energy
-from .minimize import GammaResult, MinimizeOptions, minimize_profile
+from .minimize import GammaResult, minimize_profile
 from .potential import (
     PotentialConstants,
     PotentialSpec,
@@ -59,7 +59,6 @@ __all__ = [
     "GammaResult",
     "Grid",
     "InfeasibleMinimizerError",
-    "MinimizeOptions",
     "NoCrossingError",
     "PotentialConstants",
     "PotentialSpec",

@@ -64,16 +64,8 @@ def make_report(cfg: RunConfig, constants, bounds, result, verify, timings) -> d
     return {**body, "digest": _digest(body), "timings": timings}
 
 
-def _write_report(report: dict, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    return path
-
-
 def _write_rows(path: Path, header, rows) -> None:
     """A CSV of numbers, each written as its repr so a read-back is bit-exact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
@@ -100,7 +92,7 @@ def cmd_bounds(cfg: RunConfig, spec, consts, out_dir: Path, args):
 def cmd_gamma(cfg: RunConfig, spec, consts, out_dir: Path, args):
     c_values = cfg.c_list if cfg.c_list is not None else [cfg.c]
     grid = _resolve_grid(cfg, consts, min(c_values))
-    results = gamma_curve(spec, consts, grid, c_values, cfg.solver)
+    results = gamma_curve(spec, consts, grid, c_values, opt_tol=cfg.opt_tol)
     _write_rows(out_dir / "gamma_vs_c.csv", ["c", "gamma", "grad_norm", "feasibility"],
                 [(r.c, r.gamma, r.grad_norm, r.feasibility_violation) for r in results])
     profile_paths = []
@@ -115,13 +107,15 @@ def cmd_gamma(cfg: RunConfig, spec, consts, out_dir: Path, args):
               f"feas={res.feasibility_violation:.2e}  converged={res.converged}")
     result = {"mode": "gamma", "curve": [res.as_dict() for res in results],
               "profiles": profile_paths}
-    code = 0 if all(res.converged for res in results) else 2
-    return code, results[-1].bounds, result, None
+    stuck = [f"c={res.c:g} (grad_norm {res.grad_norm:.2e})" for res in results if not res.converged]
+    if stuck:
+        print(f"solver error: the minimizer did not converge at {', '.join(stuck)}", file=sys.stderr)
+    return (2 if stuck else 0), results[-1].bounds, result, None
 
 
 def cmd_speed(cfg: RunConfig, spec, consts, out_dir: Path, args):
     grid = _resolve_grid(cfg, consts, compute_bounds(spec, consts, 1.0).bracket_lo)
-    res = find_speed(spec, consts, grid, cfg.solver, cfg.c_tol)
+    res = find_speed(spec, consts, grid, c_tol=cfg.c_tol, opt_tol=cfg.opt_tol)
     report_verify = run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star)
     hist_path = out_dir / "bracket_history.csv"
     _write_rows(hist_path, ["c_lo", "c_hi", "gamma_lo", "gamma_hi"], res.bracket_history)
@@ -188,10 +182,12 @@ def main(argv=None) -> int:
         spec = build_potential(cfg)
         consts = compute_constants(spec)
         out_dir = Path(args.out) if args.out else Path(cfg.directory)
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the solve, so it fails fast
         code, bounds, result, verify = command(cfg, spec, consts, out_dir, args)
         report = make_report(cfg, consts, bounds, result, verify,
                              {"total_s": time.time() - t0})
-        path = _write_report(report, out_dir, cfg.report)
+        path = out_dir / cfg.report
+        path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
         if verify is not None:
             for name, (val, _, ok) in verify.checks.items():
                 print(f"  {name:20s} {val:12.6g}  {'PASS' if ok else 'FAIL'}")
@@ -199,6 +195,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # an output directory or file that cannot be written
+        print(f"error: cannot write the output: {err}", file=sys.stderr)
         return 1
     except WaveSolverError as err:
         print(f"solver error: {err}", file=sys.stderr)

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ContractViolationError
-from .minimize import MinimizeOptions
+from .minimize import OPT_TOL
 from .potential import PotentialSpec, decoupled_quartic, scalar_cubic, user_polynomial
 
 _SECTIONS = {
     "potential": {"variant", "alpha", "beta", "dim", "terms", "well_b", "box"},
     "grid": {"x_left", "x_right", "h"},
-    "solver": {"opt_tol", "penalty_kappa", "max_iters", "restarts", "seed", "feas_tol"},
+    "solver": {"opt_tol", "restarts", "seed"},
     "mode": {"c", "c_list", "c_tol"},
     "output": {"directory", "report"},
 }
@@ -38,7 +38,7 @@ class RunConfig:
     x_left: float | None
     x_right: float | None
     h: float
-    solver: MinimizeOptions
+    opt_tol: float
     c: float | None
     c_list: list | None
     c_tol: float | None
@@ -90,8 +90,16 @@ def _parse_floats(raw, section, key):
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    # no interpolation: a "%" in a value is a literal character
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+    except configparser.Error as err:
+        # duplicate keys and sections, lines outside any section: the
+        # parser's message names the file and the line, over several lines
+        raise ConfigError(" ".join(str(err).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -113,9 +121,7 @@ def load_config(path) -> RunConfig:
     alpha = _get(cp, "potential", "alpha")
     beta = _get(cp, "potential", "beta")
     dim = _get(cp, "potential", "dim", kind=int, must="positive")
-    terms = None
-    well_b = None
-    box = None
+    terms = well_b = box = None
     if variant == "scalar_cubic":
         if alpha is None:
             raise ConfigError("potential.alpha is required for scalar_cubic")
@@ -176,13 +182,7 @@ def load_config(path) -> RunConfig:
     if _get(cp, "solver", "restarts", default=0, kind=int) != 0:
         raise ConfigError("solver.restarts: random restarts were removed; only 0 is accepted")
     _get(cp, "solver", "seed", kind=int, must="nonnegative")
-    # a key left out takes its MinimizeOptions default
-    solver = {
-        "opt_tol": _get(cp, "solver", "opt_tol", must="positive"),
-        "penalty_kappa": _get(cp, "solver", "penalty_kappa", must="nonnegative"),
-        "max_iters": _get(cp, "solver", "max_iters", kind=int, must="positive"),
-        "feas_tol": _get(cp, "solver", "feas_tol", must="positive"),
-    }
+    opt_tol = _get(cp, "solver", "opt_tol", default=OPT_TOL, must="positive")
 
     c = _get(cp, "mode", "c", must="positive")
     c_tol = _get(cp, "mode", "c_tol", must="positive")
@@ -204,7 +204,7 @@ def load_config(path) -> RunConfig:
         variant=variant, alpha=alpha, beta=beta, dim=dim, terms=terms,
         well_b=well_b, box=box,
         **ends, h=h,
-        solver=MinimizeOptions(**{k: v for k, v in solver.items() if v is not None}),
+        opt_tol=opt_tol,
         c=c, c_list=c_list, c_tol=c_tol,
         directory=directory, report=report, raw=raw,
     )

@@ -39,23 +39,20 @@ from .profile import Grid, Profile, translate_to_crossing
 from .functional import cell_weights  # noqa: F401
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    """Solver settings: stopping tolerances, the feasibility bar, and the
-    weight of the quadratic penalty the descent puts on the sign constraint."""
+# solver settings no caller varies: the weight of the quadratic penalty on the
+# sign constraint, the violation of it a minimizer may keep, a descent's step cap
+PENALTY_KAPPA = 1e3
+FEAS_TOL = 1e-8
+MAX_ITERS = 200_000
+# the default stopping tolerance, the one solver setting a caller chooses
+OPT_TOL = 1e-8
 
-    opt_tol: float = 1e-8
-    max_iters: int = 200_000
-    feas_tol: float = 1e-8
-    penalty_kappa: float = 1e3
 
-    def __post_init__(self):
-        # written as "not x > 0" so that NaN fails too
-        if not (self.opt_tol > 0 and self.max_iters > 0 and self.feas_tol > 0):
-            raise ContractViolationError("opt_tol, max_iters and feas_tol must be positive")
-        if not self.penalty_kappa >= 0:
-            raise ContractViolationError(
-                f"penalty_kappa must be nonnegative, got {self.penalty_kappa}")
+def check_positive(**values: float) -> None:
+    """Raise ContractViolationError naming the first value that is not positive, NaN included."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ContractViolationError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def _newton_direction(op: WeightedEnergy, ab, g):
     return None
 
 
-def _descent(spec, params, grid, values0, opts):
+def _descent(spec, params, grid, values0, opt_tol, max_iters):
     """One band-Newton descent run from a given admissible starting array.
 
     Each step solves the band Hessian system for the gradient (see
@@ -241,7 +238,7 @@ def _descent(spec, params, grid, values0, opts):
     """
     from scipy.linalg.lapack import dpttrs
 
-    op = WeightedEnergy(spec, params, grid, opts.penalty_kappa)
+    op = WeightedEnergy(spec, params, grid, PENALTY_KAPPA)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
     d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)
@@ -258,7 +255,7 @@ def _descent(spec, params, grid, values0, opts):
     plateau_mark = 0
     plateau_F = F
 
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         g, dw = op.grad(u, w)
         nu0 = dw[iz]
         g_iz = g[iz].copy()
@@ -270,7 +267,7 @@ def _descent(spec, params, grid, values0, opts):
         d[iz] = _tangential(d[iz], nu0)
 
         pg_norm = float(np.sqrt(np.vdot(op.lump * d, d)))
-        if pg_norm <= opts.opt_tol:
+        if pg_norm <= opt_tol:
             converged = True
             break
 
@@ -329,20 +326,21 @@ def minimize_profile(
     params: FunctionalParams,
     grid: Grid,
     init: Profile,
-    opts: MinimizeOptions,
+    opt_tol: float = OPT_TOL,
 ) -> GammaResult:
     """Minimize the weighted energy from a starting profile.
 
     Recentres the start on the constraint crossing and runs one descent
     from it.  Raises InfeasibleMinimizerError when the minimizer violates
-    the sign constraint by more than ``opts.feas_tol``.  The reported gamma
+    the sign constraint by more than ``FEAS_TOL``.  The reported gamma
     excludes the penalty term.
     """
+    check_positive(opt_tol=opt_tol)
     start = translate_to_crossing(spec, init).values
-    u, J, viol, pg, iters, conv = _descent(spec, params, grid, start, opts)
-    if viol > opts.feas_tol:
+    u, J, viol, pg, iters, conv = _descent(spec, params, grid, start, opt_tol, MAX_ITERS)
+    if viol > FEAS_TOL:
         raise InfeasibleMinimizerError(
-            f"feasibility violation {viol:.3g} exceeds tolerance {opts.feas_tol:g} at c={params.c}"
+            f"feasibility violation {viol:.3g} exceeds tolerance {FEAS_TOL:g} at c={params.c}"
         )
     return GammaResult(
         c=params.c,
@@ -362,7 +360,7 @@ def minimize_from_seeds(
     params: FunctionalParams,
     grid: Grid,
     seeds,
-    opts: MinimizeOptions,
+    opt_tol: float = OPT_TOL,
 ) -> GammaResult:
     """Race several starting profiles, then fully minimize the best one.
 
@@ -376,19 +374,18 @@ def minimize_from_seeds(
     if not seeds:
         raise ContractViolationError("need at least one seed profile")
     if len(seeds) == 1:
-        return minimize_profile(spec, consts, params, grid, seeds[0], opts)
+        return minimize_profile(spec, consts, params, grid, seeds[0], opt_tol)
 
-    budget_opts = replace(opts, max_iters=_RACE_BUDGET)
     scored = []
     race_iters = 0
     for init in seeds:
         base = translate_to_crossing(spec, init)
-        u, J, viol, pg, iters, conv = _descent(spec, params, grid, base.values, budget_opts)
+        u, J, viol, pg, iters, conv = _descent(spec, params, grid, base.values, opt_tol, _RACE_BUDGET)
         race_iters += iters
-        penalty_rank = 0.0 if viol <= opts.feas_tol else 1e6 + viol
+        penalty_rank = 0.0 if viol <= FEAS_TOL else 1e6 + viol
         scored.append((J + penalty_rank, u))
     _, u_best = min(scored, key=lambda s: s[0])
     winner = Profile(grid=grid, values=u_best, well_b=np.asarray(spec.well_b, dtype=float))
-    res = minimize_profile(spec, consts, params, grid, winner, opts)
+    res = minimize_profile(spec, consts, params, grid, winner, opt_tol)
     return replace(res, iterations=res.iterations + race_iters)
 

@@ -11,7 +11,7 @@ solved speed, or raced cold from one segment profile per well, built once
 on the whole grid because the segment's crossing of the zero set does not
 depend on the speed.  Either start is resampled onto the solve's sub-grid
 with ``transfer_profile``.  The minimizer at one known speed c is
-``gamma_curve(spec, consts, grid, [c], opts)[0]``, a cold solve.  Two
+``gamma_curve(spec, consts, grid, [c])[0]``, a cold solve.  Two
 robustness rules shape the solves and their callers:
 
 * each solve runs on a sub-range of the caller's grid sized for its speed
@@ -41,13 +41,14 @@ starts from it, not from a new race; no sign depends on that solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketFailureError, ContractViolationError
 from .functional import FunctionalParams, WeightedEnergy, compute_bounds, decay_rate
-from .minimize import GammaResult, MinimizeOptions, minimize_from_seeds, minimize_profile
+from .minimize import (FEAS_TOL, OPT_TOL, GammaResult, check_positive, minimize_from_seeds,
+                       minimize_profile)
 from .potential import PotentialConstants, PotentialSpec, well_minima
 from .profile import Grid, Profile, interpolate, segment_profile, translate_to_crossing
 
@@ -164,30 +165,30 @@ class Probes:
     """
 
     def __init__(self, spec: PotentialSpec, consts: PotentialConstants, grid: Grid,
-                 opts: MinimizeOptions):
-        self.spec, self.consts, self.grid, self.opts = spec, consts, grid, opts
+                 opt_tol: float):
+        self.spec, self.consts, self.grid, self.opt_tol = spec, consts, grid, opt_tol
         self.seeds = [segment_profile(spec, grid, p) for p in seed_points(spec, consts)]
         self.results: dict[float, GammaResult] = {}
         self.cold: set[float] = set()
         self.table: list[tuple[float, float]] = []
 
     def solve(self, c: float, start: float | None = None,
-              opts: MinimizeOptions | None = None) -> GammaResult:
+              opt_tol: float | None = None) -> GammaResult:
         """Minimum energy at c on speed_subgrid(grid, consts, c).
 
         Warm-started from the minimizer found at the solved speed ``start``,
         else raced cold from every seed; either start is resampled onto the
-        sub-grid with ``transfer_profile``.
+        sub-grid with ``transfer_profile``.  ``opt_tol`` defaults to the run's.
         """
-        opts = self.opts if opts is None else opts
+        opt_tol = self.opt_tol if opt_tol is None else opt_tol
         params = FunctionalParams(c=c)
         sub = speed_subgrid(self.grid, self.consts, c)
         if start is not None:
             init = transfer_profile(self.results[start].profile, sub)
-            res = minimize_profile(self.spec, self.consts, params, sub, init, opts)
+            res = minimize_profile(self.spec, self.consts, params, sub, init, opt_tol)
         else:
             inits = [transfer_profile(seed, sub) for seed in self.seeds]
-            res = minimize_from_seeds(self.spec, self.consts, params, sub, inits, opts)
+            res = minimize_from_seeds(self.spec, self.consts, params, sub, inits, opt_tol)
             self.cold.add(c)
         self.results[c] = res
         self.table.append((c, res.gamma))
@@ -212,7 +213,7 @@ class Probes:
         for init in inits:
             u = translate_to_crossing(self.spec, transfer_profile(init, sub)).values
             J, _, w = op.value(u)
-            if J < 0 and op.violation(w) <= self.opts.feas_tol:
+            if J < 0 and op.violation(w) <= FEAS_TOL:
                 self.table.append((c, J))
                 return J
         return None
@@ -222,8 +223,9 @@ def find_speed(
     spec: PotentialSpec,
     consts: PotentialConstants,
     grid: Grid,
-    opts: MinimizeOptions,
+    *,
     c_tol: float,
+    opt_tol: float = OPT_TOL,
 ) -> SpeedResult:
     """Bisect the analytic bracket for the root of the minimum energy.
 
@@ -241,13 +243,12 @@ def find_speed(
     cold minimizer at the final upper end and living on the sub-range of the
     grid sized for that speed.
     """
-    if not c_tol > 0:
-        raise ContractViolationError("c_tol must be positive")
+    check_positive(c_tol=c_tol, opt_tol=opt_tol)
 
     # the bracket does not depend on the speed the bounds are taken at
     bounds = compute_bounds(spec, consts, 1.0)
     c_lo, c_hi = bounds.bracket_lo, bounds.bracket_hi
-    run = Probes(spec, consts, grid, replace(opts, opt_tol=max(opts.opt_tol, _PROBE_OPT_TOL)))
+    run = Probes(spec, consts, grid, max(opt_tol, _PROBE_OPT_TOL))
 
     # a bound is negative whenever it is not None
     g_lo = run.bound(c_lo) or run.solve(c_lo).gamma
@@ -304,7 +305,7 @@ def find_speed(
     # minimizer starts the final solve, and no sign depends on that solve;
     # c_hi is named because the midpoint is equally near both ends
     c_star = 0.5 * (c_lo + c_hi)
-    final = run.solve(c_star, c_hi, opts)
+    final = run.solve(c_star, c_hi, opt_tol)
     return SpeedResult(c_star=c_star, bracket_history=history, gamma_result=final)
 
 
@@ -313,7 +314,8 @@ def gamma_curve(
     consts: PotentialConstants,
     grid: Grid,
     c_list,
-    opts: MinimizeOptions,
+    *,
+    opt_tol: float = OPT_TOL,
 ) -> list[GammaResult]:
     """Minimum energy along an increasing list of speeds.
 
@@ -328,7 +330,8 @@ def gamma_curve(
         raise ContractViolationError("all speeds must be positive")
     if any(b <= a for a, b in zip(c_arr, c_arr[1:])):
         raise ContractViolationError("c_list must be strictly increasing")
+    check_positive(opt_tol=opt_tol)
 
     # on an increasing list the nearest solved speed is the previous one
-    run = Probes(spec, consts, grid, opts)
+    run = Probes(spec, consts, grid, opt_tol)
     return [run.solve(c, run.nearest(c)) for c in c_arr]

@@ -12,7 +12,6 @@ import pytest
 
 from gradwave import (
     Grid,
-    MinimizeOptions,
     compute_bounds,
     compute_constants,
     decoupled_quartic,
@@ -81,9 +80,8 @@ def decoupled_consts(decoupled_spec):
 def timed_find_speed(spec, consts, c_tol=1e-3, h=0.01):
     bounds = compute_bounds(spec, consts, 1.0)
     grid = make_grid(consts, bounds.bracket_lo, h=h)
-    opts = MinimizeOptions()
     t0 = time.monotonic()
-    res = find_speed(spec, consts, grid, opts, c_tol)
+    res = find_speed(spec, consts, grid, c_tol=c_tol)
     elapsed = time.monotonic() - t0
     return res, elapsed, grid
 
@@ -102,9 +100,8 @@ def decoupled_speed(decoupled_spec, decoupled_consts):
 def scalar_curve(scalar_spec, scalar_consts):
     """Minimum-energy sweep across the root, warm-started."""
     grid = make_grid(scalar_consts, 0.3)
-    opts = MinimizeOptions(opt_tol=1e-6)
     c_list = [0.3, 0.45, 0.6, 0.8, 1.0]
-    return c_list, gamma_curve(scalar_spec, scalar_consts, grid, c_list, opts), grid
+    return c_list, gamma_curve(scalar_spec, scalar_consts, grid, c_list, opt_tol=1e-6), grid
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from scipy.optimize import minimize_scalar
 from gradwave import (
     FunctionalParams,
     Grid,
-    MinimizeOptions,
     compute_bounds,
     compute_constants,
     WeightedEnergy,
@@ -68,8 +67,7 @@ def scalar_wide_curve(scalar_spec, scalar_consts):
     c_star = 0.6
     c_list = list(np.linspace(0.3 * c_star, 1.7 * c_star, 7))
     grid = make_grid(scalar_consts, c_list[0])
-    opts = MinimizeOptions(opt_tol=1e-6)
-    return c_list, gamma_curve(scalar_spec, scalar_consts, grid, c_list, opts)
+    return c_list, gamma_curve(scalar_spec, scalar_consts, grid, c_list, opt_tol=1e-6)
 
 
 def test_criterion_01_scalar_exact_waves(scalar_spec, scalar_consts, scalar_speed,

@@ -115,8 +115,7 @@ c_list =
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
-    # without the check these end in a traceback, exit 2 as solver errors, or
-    # (penalty_kappa = nan) silently switch the penalty off
+    # without the check these end in a traceback or exit 2 as solver errors
     @pytest.mark.parametrize("key, potential, extra", [
         ("potential.box", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; -1.0 2\n"
                           "well_b = 1.0\nbox = -2:abc", ""),
@@ -125,15 +124,13 @@ c_list =
         ("grid.x_left", SCALAR, "[grid]\nx_left = nan\nh = 0.05\n[mode]\nc = 0.6"),
         ("grid.x_right", SCALAR, "[grid]\nx_right = inf\nh = 0.05\n[mode]\nc = 0.6"),
         ("mode.c_list", SCALAR, "[grid]\nh = 0.05\n[mode]\nc_list = 0.5, nan"),
-        ("solver.penalty_kappa", SCALAR,
-         "[grid]\nh = 0.05\n[solver]\npenalty_kappa = nan\n[mode]\nc = 0.6"),
         # out of the family's range: the constructors hold the ranges
         ("potential.alpha", "variant = scalar_cubic\nalpha = 3.0", ""),
         ("potential.alpha, potential.beta",
          "variant = decoupled_quartic\nalpha = 1.2\nbeta = 0.6", ""),
         ("potential.terms", "variant = user_polynomial\ndim = 1\nterms = 0.5 4; -1.0 -2\n"
                             "well_b = 1.0\nbox = -2:2", ""),
-    ], ids=["box", "terms", "x_left", "x_right", "c_list", "penalty_kappa",
+    ], ids=["box", "terms", "x_left", "x_right", "c_list",
             "alpha", "alpha_beta", "exponent"])
     def test_bad_number_exits_1_and_names_key(self, tmp_path, capsys, key, potential, extra):
         cfg = write_config(tmp_path, f"[potential]\n{potential}\n{extra}\n"
@@ -141,6 +138,50 @@ c_list =
         command = "bounds" if key.startswith("potential.") else "gamma"
         assert main([command, "--config", cfg]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["penalty_kappa", "max_iters", "feas_tol"])
+    def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
+        # the penalty weight, step cap and feasibility bar are constants now
+        cfg = write_config(tmp_path, f"[potential]\n{SCALAR}\n[solver]\n{key} = 1e3\n"
+                                     f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["bounds", "--config", cfg]) == 1
+        assert capsys.readouterr() == ("", f"error: unknown key solver.{key}\n")
+
+    @pytest.mark.parametrize("text, where", [
+        (f"[potential]\n{SCALAR}\nalpha = 0.5\n", "[line 4]: option 'alpha'"),
+        (f"[potential]\n{SCALAR}\n[potential]\n", "[line 4]: section 'potential'"),
+        (f"{SCALAR}\n[potential]\n", "line: 1"),
+        (f"[potential]\n{SCALAR}\n# caf\xe9\n".encode("latin-1"), "not UTF-8 text"),
+        (f"[potential]\n{SCALAR}\n[output]\ndirectory = out%1\n", None),
+    ], ids=["duplicate_key", "duplicate_section", "no_section_header", "not_utf8", "percent"])
+    def test_unparsable_file_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                   text, where):
+        # configparser raises on the first four, and its interpolation on the
+        # "%" when the value is read; a "%" is now a literal character.  main
+        # returns only if no exception escaped it, so there is no traceback
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.ini"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        code = main(["bounds", "--config", str(path)])
+        out, err = capsys.readouterr()
+        if where is None:
+            assert (code, err) == (0, "")
+            assert (tmp_path / "out%1" / "report.json").is_file()
+            return
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and where in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory\n")
+        cfg = write_config(tmp_path, f"[potential]\n{SCALAR}\n[output]\ndirectory = {blocker}\n")
+        assert main(["bounds", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+        assert str(blocker) in err
 
     @pytest.mark.parametrize("restarts, seed, message", [
         ("0", "5", None),
@@ -377,10 +418,36 @@ directory = {out}
             assert np.array_equal(prof.grid.nodes, res.profile.grid.nodes)
             assert np.array_equal(prof.values, res.profile.values)
 
-    @pytest.mark.parametrize("line, kappa", [("penalty_kappa = 7.5", 7.5), ("", 1e3)])
-    def test_penalty_kappa_reaches_every_descent(self, tmp_path, monkeypatch, line, kappa):
-        # every descent builds one operator; each must carry the configured
-        # weight, or the MinimizeOptions default when the key is left out
+    def test_unconverged_speed_exits_2_and_says_why(self, tmp_path, capsys):
+        # below c* the cold race on the three-well quartic stops on its
+        # plateau far above opt_tol at c = 0.3; the other speeds converge
+        cfg = write_config(tmp_path, f"""
+[potential]
+variant = decoupled_quartic
+alpha = 0.6
+beta = 1.2
+
+[grid]
+h = 0.05
+
+[mode]
+c_list = 0.3, 0.6, 1.2, 1.6
+
+[output]
+directory = {tmp_path / "out"}
+""")
+        assert main(["gamma", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert [line.endswith("converged=False") for line in out.splitlines()[:4]] == [
+            True, False, False, False]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        grad_norm = report["result"]["curve"][0]["grad_norm"]
+        assert err == (f"solver error: the minimizer did not converge at "
+                       f"c=0.3 (grad_norm {grad_norm:.2e})\n")
+
+    def test_penalty_kappa_reaches_every_descent(self, tmp_path, monkeypatch):
+        # every descent builds one operator, and each must carry the penalty
+        # weight: the operator's own default, 0, would drop the penalty
         built, descents = [], []
         operator, descent = gradwave.minimize.WeightedEnergy, gradwave.minimize._descent
 
@@ -390,7 +457,7 @@ directory = {out}
             return op
 
         def spy_descent(*args, **kwargs):
-            descents.append(args[4].penalty_kappa)
+            descents.append(args[5])
             return descent(*args, **kwargs)
 
         monkeypatch.setattr(gradwave.minimize, "WeightedEnergy", spy_operator)
@@ -406,7 +473,6 @@ h = 0.05
 
 [solver]
 opt_tol = 1e-5
-{line}
 
 [mode]
 c_list = 0.8, 1.6
@@ -417,8 +483,8 @@ directory = {tmp_path / "out"}
         assert main(["gamma", "--config", cfg]) == 0
         # the cold first speed races one seed per well and descends the best;
         # the second speed is warm-started
-        assert len(descents) >= 4
-        assert built == descents == [kappa] * len(descents)
+        assert descents.count(gradwave.minimize._RACE_BUDGET) == 3 and len(descents) >= 4
+        assert built == [gradwave.minimize.PENALTY_KAPPA] * len(descents)
 
 
 class TestSpeedCommand:
@@ -820,8 +886,7 @@ spec = gradwave.scalar_cubic(0.6)
 consts = gradwave.compute_constants(spec)
 grid = gradwave.Grid.uniform(-20.0, 12.0, 0.05)
 gradwave.minimize_profile(spec, consts, gradwave.FunctionalParams(c=0.5), grid,
-                          gradwave.segment_profile(spec, grid, consts.point_a),
-                          gradwave.MinimizeOptions(opt_tol=1e-6))
+                          gradwave.segment_profile(spec, grid, consts.point_a), 1e-6)
 stages["minimize_profile"] = loaded()
 print(json.dumps(stages))
 """

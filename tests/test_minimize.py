@@ -6,7 +6,6 @@ import pytest
 from gradwave import (
     FunctionalParams,
     Grid,
-    MinimizeOptions,
     Profile,
     WaveSolverError,
     compute_bounds,
@@ -15,9 +14,11 @@ from gradwave import (
     segment_profile,
 )
 from gradwave.functional import WeightedEnergy, cell_weights
+import gradwave.minimize as minimize
 from gradwave.minimize import (
-    _ARMIJO_C1, _ARMIJO_SHRINK, _SHIFT_FIRST, _SHIFT_GROWTH, _SHIFT_MAX, _band_hessian,
-    _descent, _factor_preconditioner, _newton_direction, _tangential,
+    _ARMIJO_C1, _ARMIJO_SHRINK, _SHIFT_FIRST, _SHIFT_GROWTH, _SHIFT_MAX, FEAS_TOL, MAX_ITERS,
+    OPT_TOL, PENALTY_KAPPA, _band_hessian, _descent, _factor_preconditioner,
+    _newton_direction, _tangential,
 )
 from gradwave.potential import PROJ_TOL, project_to_zero_set
 from gradwave.profile import translate_to_crossing
@@ -34,7 +35,6 @@ class TestMinimizeScalar:
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
-            MinimizeOptions(),
         )
         assert abs(res.gamma) <= 2e-3
         # profile matches the exact wave after translation alignment
@@ -104,24 +104,24 @@ class TestMinimizeScalar:
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         cold = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
-            MinimizeOptions(opt_tol=1e-6),
+            1e-6,
         )
         assert abs(cold.gamma - results[idx].gamma) <= 5e-3
 
     def test_monotone_improvement_over_start(self, scalar_spec, scalar_consts):
         grid = Grid.uniform(-30.0, 15.0, 0.02)
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
-        params, opts = FunctionalParams(c=0.5), MinimizeOptions(opt_tol=1e-6)
-        res = minimize_profile(scalar_spec, scalar_consts, params, grid, init, opts)
-        J, P, _ = WeightedEnergy(scalar_spec, params, grid, opts.penalty_kappa).value(init.values)
+        params = FunctionalParams(c=0.5)
+        res = minimize_profile(scalar_spec, scalar_consts, params, grid, init, 1e-6)
+        J, P, _ = WeightedEnergy(scalar_spec, params, grid, PENALTY_KAPPA).value(init.values)
         assert res.gamma <= J + P + 1e-12
 
-    def test_non_convergence_flagged(self, scalar_spec, scalar_consts):
+    def test_non_convergence_flagged(self, scalar_spec, scalar_consts, monkeypatch):
+        monkeypatch.setattr(minimize, "MAX_ITERS", 3)
         grid = Grid.uniform(-20.0, 12.0, 0.05)
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.5), grid, init,
-            MinimizeOptions(max_iters=3),
         )
         assert not res.converged
 
@@ -131,7 +131,7 @@ class TestMinimizeScalar:
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         res = minimize_profile(
             scalar_spec, scalar_consts, FunctionalParams(c=0.6), grid, init,
-            MinimizeOptions(opt_tol=1e-6),
+            1e-6,
         )
         assert abs(res.gamma) <= 2e-3
         assert res.feasibility_violation <= 1e-8
@@ -146,13 +146,12 @@ class TestMinimizeScalar:
             assert np.all(res.profile.values <= center + 1.1 * half)
 
     def test_doubling_the_domain_changes_little(self, scalar_spec, scalar_consts):
-        opts = MinimizeOptions(opt_tol=1e-6)
         gammas = []
         for L in (40.0, 80.0):
             grid = Grid.uniform(-L / 0.5, 40.0 / 1.9, 0.02)
             init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
             res = minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.5),
-                                   grid, init, opts)
+                                   grid, init, 1e-6)
             gammas.append(res.gamma)
         assert abs(gammas[1] - gammas[0]) <= 1e-6
 
@@ -163,38 +162,40 @@ class TestMultistart:
         # gives the same minimizer bit for bit
         grid = Grid.uniform(-25.0, 12.0, 0.02)
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
-        opts = MinimizeOptions(opt_tol=1e-6)
         r1 = minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.7),
-                              grid, init, opts)
+                              grid, init, 1e-6)
         r2 = minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.7),
-                              grid, init, opts)
+                              grid, init, 1e-6)
         assert r1.gamma == r2.gamma
         assert np.array_equal(r1.profile.values, r2.profile.values)
 
 
 class TestOptions:
     def test_defaults(self):
-        opts = MinimizeOptions()
-        assert (opts.opt_tol, opts.max_iters, opts.feas_tol, opts.penalty_kappa) == (
-            1e-8, 200_000, 1e-8, 1e3)
-        assert MinimizeOptions(penalty_kappa=0.0).penalty_kappa == 0.0
+        # opt_tol is the one setting a caller passes; the others are constants
+        assert (OPT_TOL, MAX_ITERS, FEAS_TOL, PENALTY_KAPPA) == (1e-8, 200_000, 1e-8, 1e3)
 
     @pytest.mark.parametrize("field, value", [
-        ("feas_tol", 0.0), ("feas_tol", -1e-8), ("feas_tol", float("nan")),
-        ("penalty_kappa", -1.0), ("penalty_kappa", float("nan")),
-        ("opt_tol", float("nan")), ("max_iters", 0),
+        ("opt_tol", 0.0), ("opt_tol", -1e-8), ("opt_tol", float("nan")),
     ])
-    def test_rejects_out_of_range(self, field, value):
-        # NaN must fail too: with feas_tol = nan no violation would exceed it,
-        # and with penalty_kappa = nan the penalty would silently switch off
+    def test_rejects_out_of_range(self, field, value, scalar_spec, scalar_consts, monkeypatch):
+        # NaN must fail too: no displacement norm is ever <= nan, so the
+        # descent would run to its step cap; the check comes before any step
         from gradwave import ContractViolationError
 
+        def no_descent(*args):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(minimize, "_descent", no_descent)
+        grid = Grid.uniform(-20.0, 12.0, 0.05)
+        init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
         with pytest.raises(ContractViolationError, match=field):
-            MinimizeOptions(**{field: value})
+            minimize_profile(scalar_spec, scalar_consts, FunctionalParams(c=0.5), grid, init,
+                             **{field: value})
 
 
 class TestErrors:
-    def test_infeasible_minimizer_rejected(self):
+    def test_infeasible_minimizer_rejected(self, monkeypatch):
         # with an absurdly small tolerance even the roundoff-level negativity
         # of the flat right tail counts as a violation at convergence; the
         # monomial table sums cancelling terms near the well, so it has some
@@ -207,11 +208,9 @@ class TestErrors:
         consts = compute_constants(spec)
         grid = Grid.uniform(-30.0, 15.0, 0.02)
         init = segment_profile(spec, grid, consts.point_a)
+        monkeypatch.setattr(minimize, "FEAS_TOL", 1e-30)
         with pytest.raises(InfeasibleMinimizerError):
-            minimize_profile(
-                spec, consts, FunctionalParams(c=0.6), grid, init,
-                MinimizeOptions(opt_tol=1e-6, feas_tol=1e-30),
-            )
+            minimize_profile(spec, consts, FunctionalParams(c=0.6), grid, init, 1e-6)
 
     def test_energy_rejects_mismatched_well(self, scalar_spec):
         from gradwave import ContractViolationError, energy
@@ -409,8 +408,7 @@ class TestBareBandFactorisation:
 
         grid = Grid.uniform(-20.0, 12.0, 0.05)
         init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
-        args = (scalar_spec, scalar_consts, FunctionalParams(c=0.5), grid, init,
-                MinimizeOptions(opt_tol=1e-6))
+        args = (scalar_spec, scalar_consts, FunctionalParams(c=0.5), grid, init, 1e-6)
         plain = minimize_profile(*args)
         counts = {"solves": 0, "factored": 0}
 
@@ -433,7 +431,7 @@ class TestBareBandFactorisation:
         assert traced.profile.values.tobytes() == plain.profile.values.tobytes()
 
 
-def first_order_descent(spec, params, grid, values0, opts):
+def first_order_descent(spec, params, grid, values0, opt_tol, max_iters):
     """Reference: the projected H^1-preconditioned gradient descent, verbatim.
 
     Steps along the weighted H^1 gradient with Armijo backtracking, a
@@ -445,7 +443,7 @@ def first_order_descent(spec, params, grid, values0, opts):
     _FLOOR_PG_CAP = 1e-5
     _PLATEAU_SPAN = 60
     _PLATEAU_F_GAIN = 3e-11
-    op = WeightedEnergy(spec, params, grid, opts.penalty_kappa)
+    op = WeightedEnergy(spec, params, grid, PENALTY_KAPPA)
     iz = grid.index_zero
     mu_b = float(np.linalg.eigvalsh(spec.hessian(spec.well_b))[0])
     d_fac, e_fac = _factor_preconditioner(op, sigma=1.0 + mu_b)
@@ -464,7 +462,7 @@ def first_order_descent(spec, params, grid, values0, opts):
     plateau_mark = 0
     plateau_F = F
 
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         g, dw = op.grad(u, w)
         nu0 = dw[iz]
         g[iz] = _tangential(g[iz], nu0)
@@ -475,7 +473,7 @@ def first_order_descent(spec, params, grid, values0, opts):
         d[iz] = _tangential(d[iz], nu0)
 
         pg_norm = float(np.sqrt(np.vdot(op.lump * d, d)))
-        if pg_norm <= opts.opt_tol:
+        if pg_norm <= opt_tol:
             converged = True
             break
 
@@ -542,9 +540,9 @@ def test_newton_matches_first_order_descent(builtin, c, scalar_spec, decoupled_s
     left = consts.point_a if builtin == "scalar" else np.array([1.0, -1.0])
     grid = speed_subgrid(make_grid(consts, c, h=0.05), consts, c)
     start = translate_to_crossing(spec, segment_profile(spec, grid, left)).values
-    params, opts = FunctionalParams(c=c), MinimizeOptions()
-    *_, ref_iters, ref_conv = ref = first_order_descent(spec, params, grid, start, opts)
-    *_, iters, conv = got = _descent(spec, params, grid, start, opts)
+    params, tols = FunctionalParams(c=c), (OPT_TOL, MAX_ITERS)
+    *_, ref_iters, ref_conv = ref = first_order_descent(spec, params, grid, start, *tols)
+    *_, iters, conv = got = _descent(spec, params, grid, start, *tols)
     assert conv and ref_conv
     assert iters * 10 <= ref_iters
     assert abs(got[1] - ref[1]) <= 1e-8 * (1.0 + abs(ref[1]))

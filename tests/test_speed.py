@@ -9,8 +9,8 @@ import gradwave.minimize as minimize
 import gradwave.speed as speed
 from gradwave import (
     BracketFailureError,
+    ContractViolationError,
     Grid,
-    MinimizeOptions,
     compute_bounds,
     compute_constants,
     derivative,
@@ -86,7 +86,7 @@ def poly_speed(spec, h):
     """``find_speed`` at ``POLY_C_TOL``, and whether the wave verifies."""
     consts = compute_constants(spec)
     grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=h)
-    res = find_speed(spec, consts, grid, MinimizeOptions(), POLY_C_TOL)
+    res = find_speed(spec, consts, grid, c_tol=POLY_C_TOL)
     return res.c_star, run_verify(spec, consts, res.c_star, res.profile,
                                   res.gamma_at_c_star).passed
 
@@ -124,7 +124,7 @@ class TestWaveAtSpeed:
 
     def test_scalar_wave_has_continuous_slope(self, scalar_spec, scalar_consts):
         grid = make_grid(scalar_consts, 0.6, h=0.01)
-        res, = gamma_curve(scalar_spec, scalar_consts, grid, [0.6], MinimizeOptions(opt_tol=1e-6))
+        res, = gamma_curve(scalar_spec, scalar_consts, grid, [0.6], opt_tol=1e-6)
         der = derivative(res.profile)
         assert float(np.linalg.norm(der.right_at_zero - der.left_at_zero)) <= 5e-3
 
@@ -192,11 +192,11 @@ class TestTruncation:
         # the old range holds the tail left of the new end, where the profile
         # sits at a well: the energy differs by |W(u_0)| e^{c x_0} / c
         spec, consts = truncation_cases[name]
-        c_list, opts = [0.8, 1.5], MinimizeOptions(opt_tol=1e-10)
-        new = gamma_curve(spec, consts, make_grid(consts, 0.8, h=0.02), c_list, opts)
+        c_list = [0.8, 1.5]
+        new = gamma_curve(spec, consts, make_grid(consts, 0.8, h=0.02), c_list, opt_tol=1e-10)
         monkeypatch.setattr(speed, "auto_grid_bounds", old_grid_bounds)
         grid = Grid.uniform(*old_grid_bounds(consts, 0.8), 0.02)
-        old = gamma_curve(spec, consts, grid, c_list, opts)
+        old = gamma_curve(spec, consts, grid, c_list, opt_tol=1e-10)
         for c, res, ref in zip(c_list, new, old):
             assert res.converged and ref.converged
             x0, u0 = res.profile.grid.x_left, res.profile.values[0]
@@ -208,11 +208,11 @@ class TestTruncation:
         spec = request.getfixturevalue(f"{builtin}_spec")
         consts = request.getfixturevalue(f"{builtin}_consts")
         lo = compute_bounds(spec, consts, 1.0).bracket_lo
-        opts = MinimizeOptions(opt_tol=1e-10)
         c_stars = []
         for rule in (speed.auto_grid_bounds, old_grid_bounds):
             monkeypatch.setattr(speed, "auto_grid_bounds", rule)
-            res = find_speed(spec, consts, Grid.uniform(*rule(consts, lo), 0.02), opts, 1e-8)
+            res = find_speed(spec, consts, Grid.uniform(*rule(consts, lo), 0.02),
+                             c_tol=1e-8, opt_tol=1e-10)
             assert run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star).passed
             c_stars.append(res.c_star)
         assert abs(c_stars[0] - c_stars[1]) <= 1e-9
@@ -230,17 +230,16 @@ class TestGammaCurve:
         calls = []
         real = Probes.solve
 
-        def logged(self, c, start=None, opts=None):
+        def logged(self, c, start=None, opt_tol=None):
             calls.append((c, start))
-            return real(self, c, start, opts)
+            return real(self, c, start, opt_tol)
 
         monkeypatch.setattr(Probes, "solve", logged)
         c_list = [0.3, 0.45, 0.6, 0.8]
         grid = make_grid(scalar_consts, c_list[0], h=0.05)
-        opts = MinimizeOptions(opt_tol=1e-5)
-        curve = gamma_curve(scalar_spec, scalar_consts, grid, c_list, opts)
+        curve = gamma_curve(scalar_spec, scalar_consts, grid, c_list, opt_tol=1e-5)
         assert calls == [(c_list[0], None)] + list(zip(c_list[1:], c_list[:-1]))
-        cold = Probes(scalar_spec, scalar_consts, grid, opts).solve(c_list[0])
+        cold = Probes(scalar_spec, scalar_consts, grid, 1e-5).solve(c_list[0])
         assert cold.gamma == curve[0].gamma
         assert np.array_equal(cold.profile.values, curve[0].profile.values)
 
@@ -254,14 +253,13 @@ def logged_find_speed(spec, consts, alter=None, cold_final=False):
     """
     calls = []
     real = speed.Probes.solve
-    final_opts = MinimizeOptions()
 
-    def logged(self, c, start=None, opts=None):
-        if cold_final and opts is final_opts:
-            # the probes run on the engine's copy with a looser tolerance;
-            # the final solve passes the caller's options
+    def logged(self, c, start=None, opt_tol=None):
+        if cold_final and opt_tol is not None:
+            # the probes run at the engine's looser tolerance; only the
+            # final solve passes the caller's opt_tol
             start = None
-        res = real(self, c, start, opts)
+        res = real(self, c, start, opt_tol)
         warm = start is not None
         calls.append((c, warm))
         if alter is not None:
@@ -272,7 +270,7 @@ def logged_find_speed(spec, consts, alter=None, cold_final=False):
     grid = make_grid(consts, bounds.bracket_lo, h=0.02)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(speed.Probes, "solve", logged)
-        res = find_speed(spec, consts, grid, final_opts, 1e-3)
+        res = find_speed(spec, consts, grid, c_tol=1e-3)
     return res, calls, bounds
 
 
@@ -389,6 +387,32 @@ class TestSignCertificates:
         assert abs(res.c_star - scalar_logged[0].c_star) <= 1e-3
 
 
+@pytest.mark.parametrize("opt_tol", [0.0, -1e-8, float("nan")])
+@pytest.mark.parametrize("entry", ["find_speed", "gamma_curve"])
+def test_opt_tol_checked_before_any_solve(entry, opt_tol, scalar_spec, scalar_consts,
+                                          monkeypatch):
+    # NaN must fail too: max(nan, 1e-5) is nan, and no descent would ever meet it
+    def no_probes(*args):
+        raise AssertionError("a solve was set up")
+
+    monkeypatch.setattr(speed, "Probes", no_probes)
+    grid = make_grid(scalar_consts, 0.5, h=0.05)
+    with pytest.raises(ContractViolationError, match="opt_tol must be positive"):
+        if entry == "find_speed":
+            find_speed(scalar_spec, scalar_consts, grid, c_tol=1e-3, opt_tol=opt_tol)
+        else:
+            gamma_curve(scalar_spec, scalar_consts, grid, [0.6], opt_tol=opt_tol)
+
+
+def test_tolerances_are_keyword_only(scalar_spec, scalar_consts):
+    # c_tol and opt_tol are both small floats: neither may be passed by position
+    grid = make_grid(scalar_consts, 0.5, h=0.05)
+    with pytest.raises(TypeError):
+        find_speed(scalar_spec, scalar_consts, grid, 1e-3)
+    with pytest.raises(TypeError):
+        gamma_curve(scalar_spec, scalar_consts, grid, [0.6], 1e-6)
+
+
 def test_bracket_failure_carries_the_probe_table(scalar_spec, scalar_consts, monkeypatch):
     # an upper end of 0.05 stays below c* = 0.6 through six expansions: the
     # table holds the seed bound at the lower end, then every cold probe at
@@ -400,7 +424,7 @@ def test_bracket_failure_carries_the_probe_table(scalar_spec, scalar_consts, mon
     grid = make_grid(scalar_consts, lo, h=0.05)
     with pytest.raises(BracketFailureError,
                        match=r"no positive minimum energy found up to c=0\.569531") as info:
-        find_speed(scalar_spec, scalar_consts, grid, MinimizeOptions(), 1e-3)
+        find_speed(scalar_spec, scalar_consts, grid, c_tol=1e-3)
     table = info.value.probes
     assert len(table) == 8
     assert table[0][0] == lo
@@ -425,7 +449,7 @@ def test_last_expansion_probe_can_close_the_bracket(end, start, last, scalar_spe
                         lambda *args: dataclasses.replace(real(*args), **{end: start}))
     lo = compute_bounds(scalar_spec, scalar_consts, 1.0).bracket_lo
     grid = make_grid(scalar_consts, lo, h=0.05)
-    res = find_speed(scalar_spec, scalar_consts, grid, MinimizeOptions(), 1e-3)
+    res = find_speed(scalar_spec, scalar_consts, grid, c_tol=1e-3)
     c_lo, c_hi, g_lo, g_hi = res.bracket_history[0]
     c_end = c_hi if end == "bracket_hi" else c_lo
     assert c_end == pytest.approx(last, abs=1e-6)
@@ -460,7 +484,7 @@ def test_cold_seeds_equal_segment_profiles(c, decoupled_spec, decoupled_consts):
     grid = make_grid(decoupled_consts, 0.5, h=0.02)
     sub = speed_subgrid(grid, decoupled_consts, c)
     assert 0 < sub.n_nodes < grid.n_nodes
-    seeds = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions()).seeds
+    seeds = Probes(decoupled_spec, decoupled_consts, grid, minimize.OPT_TOL).seeds
     points = seed_points(decoupled_spec, decoupled_consts)
     assert len(seeds) == len(points) == 3
     for seed, p in zip(seeds, points):
@@ -474,15 +498,15 @@ def test_cold_iterations_include_races(decoupled_spec, decoupled_consts, monkeyp
     runs = []
     real = minimize._descent
 
-    def counted(spec, params, grid, values0, opts):
-        out = real(spec, params, grid, values0, opts)
-        runs.append((opts.max_iters, out[4]))
+    def counted(spec, params, grid, values0, opt_tol, max_iters):
+        out = real(spec, params, grid, values0, opt_tol, max_iters)
+        runs.append((max_iters, out[4]))
         return out
 
     monkeypatch.setattr(minimize, "_descent", counted)
     assert len(seed_points(decoupled_spec, decoupled_consts)) == 3
     grid = make_grid(decoupled_consts, 1.0, h=0.05)
-    res = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions(opt_tol=1e-5)).solve(1.5)
+    res = Probes(decoupled_spec, decoupled_consts, grid, 1e-5).solve(1.5)
     race = [iters for cap, iters in runs if cap == minimize._RACE_BUDGET]
     assert len(race) == 3
     assert res.iterations >= sum(race)
@@ -496,6 +520,6 @@ def test_short_race_picks_the_wave(decoupled_spec, decoupled_consts):
     bounds = compute_bounds(decoupled_spec, decoupled_consts, 1.0)
     grid = make_grid(decoupled_consts, bounds.bracket_lo, h=0.02)
     c = 1.2003735488958043
-    res = Probes(decoupled_spec, decoupled_consts, grid, MinimizeOptions()).solve(c)
+    res = Probes(decoupled_spec, decoupled_consts, grid, minimize.OPT_TOL).solve(c)
     np.testing.assert_allclose(res.profile.values[0], [1.0, -1.0], rtol=0, atol=1e-3)
     assert run_verify(decoupled_spec, decoupled_consts, c, res.profile, res.gamma).passed

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gradwave.verify as verify
-from gradwave import FunctionalParams, Grid, MinimizeOptions, minimize_profile, segment_profile
+from gradwave import FunctionalParams, Grid, minimize_profile, segment_profile
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -42,7 +42,7 @@ def test_span_attributes_read_from_real_results(layertrace, scalar_spec, scalar_
     grid = Grid.uniform(-25.0, 12.0, 0.05)
     params = FunctionalParams(c=0.7)
     args = (scalar_spec, scalar_consts, params, grid,
-            segment_profile(scalar_spec, grid, scalar_consts.point_a), MinimizeOptions(opt_tol=1e-6))
+            segment_profile(scalar_spec, grid, scalar_consts.point_a), 1e-6)
     res = minimize_profile(*args)
 
     assert layertrace._attrs("minimize_profile@speed", args, res) == {

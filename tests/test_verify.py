@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gradwave import (
     FunctionalParams,
     Grid,
-    MinimizeOptions,
     PotentialSpec,
     Profile,
     ShootingDivergenceError,
@@ -84,8 +83,7 @@ def wrong_speed_profile(scalar_spec, scalar_consts):
     grid = Grid.uniform(-50.0, 21.0, 0.01)
     init = segment_profile(scalar_spec, grid, scalar_consts.point_a)
     res = minimize_profile(
-        scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init,
-        MinimizeOptions(opt_tol=1e-6),
+        scalar_spec, scalar_consts, FunctionalParams(c=0.8), grid, init, 1e-6,
     )
     return res.profile
 
@@ -221,7 +219,7 @@ class TestFirstIntegral:
         spec = user_polynomial(1, terms, [1.0], [[-2.0, 2.0]])
         consts = compute_constants(spec)
         grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=0.02 / k)
-        res = find_speed(spec, consts, grid, MinimizeOptions(), 1e-3)
+        res = find_speed(spec, consts, grid, c_tol=1e-3)
         report = run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star)
         assert report.checks["first_integral"][2]
         assert report.passed
