@@ -90,8 +90,10 @@ def _parse_floats(raw, section, key):
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
-    # no interpolation: a "%" in a value is a literal character
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation: a "%" in a value is a literal character.  Only "#"
+    # starts an inline comment, since ";" separates the terms of
+    # potential.terms; a line that starts with ";" is still a comment
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         read = cp.read(path, encoding="utf-8")
     except UnicodeDecodeError as err:

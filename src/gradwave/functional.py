@@ -1,13 +1,16 @@
 """Exponentially weighted energy of a profile and its exact discrete gradient.
 
-The energy of a profile u on the truncated grid is
+The energy of a profile u on the truncated grid x_0 < ... < x_N is
 
-    sum over cells of  E_i * ( |u_{i+1} - u_i|^2 / (2 h_i^2) + (W_i + W_{i+1}) / 2 )
+    E_tail * W_0  +  sum over cells of  E_i * ( |u_{i+1} - u_i|^2 / (2 h_i^2) + (W_i + W_{i+1}) / 2 )
 
-where E_i integrates the weight e^{c x} exactly over the cell.  The slope
-term is exact for piecewise-linear profiles, so the discrete energy is a
-genuine energy of the interpolated profile; the potential term is the
-trapezoid average.  The one-sided sign constraint on the right half-line is
+where E_i integrates the weight e^{c x} exactly over the cell and
+E_tail = e^{c x_0} / c over the half-line left of x_0.  The tail term is the
+exact energy of the profile's constant extension u_0 left of its first
+node, and the slope term is exact for piecewise-linear profiles, so the
+discrete energy is a genuine energy of the interpolated profile on the
+whole line; the potential term is the trapezoid average.  The one-sided
+sign constraint on the right half-line is
 enforced softly by a quadratic penalty on the negative part of the potential.
 """
 
@@ -75,7 +78,10 @@ class WeightedEnergy:
     fixed here, so an evaluation is array arithmetic on the node values
     alone.  The node weights are stored at the (nodes, dim) shape of a
     profile, because broadcasting a column against two or more components
-    costs several times a same-shape operation.  The penalty, of weight
+    costs several times a same-shape operation.  The weight ``E_tail`` of
+    the constant extension left of the first node is folded into the
+    lumped weight of node 0, so the gradient, the Hessian and the
+    preconditioner carry the tail term.  The penalty, of weight
     ``kappa``, covers the cells right of 0, which start at the node pinned at
     0; with the default ``kappa = 0`` this is the bare energy J.
     """
@@ -88,6 +94,7 @@ class WeightedEnergy:
         self.iz = iz = grid.index_zero
         self.kappa = kappa
         self.E = E
+        self.E_tail = float(np.exp(params.c * grid.nodes[0])) / params.c
         self.E_pen = E[iz:]
 
         def per_node(cell_w):
@@ -100,13 +107,15 @@ class WeightedEnergy:
         self.stiff = np.repeat((E / (h * h))[:, None], spec.dim, axis=1)
         # lumped mass: each node carries half the weight of its two cells
         self.lump = 0.5 * per_node(E)
+        self.lump[0] += self.E_tail
         self.pen_node_w = self.kappa * per_node(self.E_pen)
 
     def value(self, u: np.ndarray):
         """(energy, penalty, node potential values) of the node values u."""
         w = self.spec.value(u)
         du = u[1:] - u[:-1]
-        J = 0.5 * (float(np.vdot(self.stiff * du, du)) + float(np.dot(self.E, w[:-1] + w[1:])))
+        J = (0.5 * (float(np.vdot(self.stiff * du, du)) + float(np.dot(self.E, w[:-1] + w[1:])))
+             + self.E_tail * float(w[0]))
         P = 0.0
         wp = w[self.iz:]
         if self.kappa > 0 and wp.min() < 0.0:
@@ -136,12 +145,15 @@ class WeightedEnergy:
     def cell_energy(self, u: np.ndarray):
         """(weighted energy per cell, slope energy |u'|^2 / 2 per cell) of u.
 
-        The cell terms sum to the energy J of ``value``, up to roundoff.
+        The first cell also carries the tail term E_tail W(u_0), so the cell
+        terms sum to the energy J of ``value``, up to roundoff.
         """
         w = self.spec.value(u)
         du = (u[1:] - u[:-1]) / self.h[:, None]
         kin = 0.5 * np.sum(du * du, axis=1)
-        return self.E * (kin + 0.5 * (w[:-1] + w[1:])), kin
+        cells = self.E * (kin + 0.5 * (w[:-1] + w[1:]))
+        cells[0] += self.E_tail * w[0]
+        return cells, kin
 
     def violation(self, w: np.ndarray) -> float:
         """How far the potential dips below 0 at the nodes right of 0."""
@@ -149,7 +161,7 @@ class WeightedEnergy:
 
 
 def energy(spec: PotentialSpec, params: FunctionalParams, profile: Profile) -> float:
-    """Weighted energy J of the profile over the truncated grid."""
+    """Weighted energy J of the profile, extended left of the grid by its first value."""
     if not np.array_equal(profile.well_b, np.asarray(spec.well_b, dtype=float)):
         raise ContractViolationError("profile right boundary does not match the potential well")
     return WeightedEnergy(spec, params, profile.grid).value(profile.values)[0]

@@ -115,6 +115,12 @@ class PotentialConstants:
     negative-potential critical points in ``find_equilibria`` order: the
     states the left tail of a wave can approach, and (those that are local
     minima) the wells cold minimizations start from.
+
+    Two more size the left end of a solve grid where the front has decayed
+    (``speed.front_left_end``): mu_a is the smallest eigenvalue of the
+    Hessian at ``point_a``, so the slowest decay into the deepest well;
+    ``diameter`` is that of the bounding box, the largest distance a profile
+    can keep from that well.
     """
 
     m: float
@@ -122,6 +128,8 @@ class PotentialConstants:
     M: float
     d: float
     mu: float
+    mu_a: float
+    diameter: float
     equilibria: tuple = ()
 
     def as_dict(self) -> dict:
@@ -600,8 +608,12 @@ def compute_constants(spec: PotentialSpec) -> PotentialConstants:
     if d <= 0:
         raise AssumptionViolationError("negative region touches the reference well")
 
+    # what sizes the left end of a solve grid
+    mu_a = float(np.linalg.eigvalsh(np.asarray(spec.hessian(point_a), dtype=float))[0])
+    diameter = float(np.linalg.norm(np.diff(spec.bounding_box, axis=1)))
     return PotentialConstants(m=m, point_a=point_a, M=float(M), d=float(d),
-                              mu=float(eigs[0]), equilibria=tuple(equilibria))
+                              mu=float(eigs[0]), mu_a=mu_a, diameter=diameter,
+                              equilibria=tuple(equilibria))
 
 
 def _nearest_negative(axes, grid_value, b, k: int):

@@ -14,11 +14,16 @@ with ``transfer_profile``.  The minimizer at one known speed c is
 ``gamma_curve(spec, consts, grid, [c])[0]``, a cold solve.  Two
 robustness rules shape the solves and their callers:
 
-* each solve runs on a sub-range of the caller's grid sized for its speed
-  by ``auto_grid_bounds``: the left end where the energy the cut drops,
-  at most m e^{c x_L} / c, is 1e-10, and the right end at 40 over the tail
-  decay rate.  Both keep the exponential weight within double-precision
-  range;
+* each solve runs on a sub-range of the caller's grid sized for its speed.
+  The right end is at 40 over the tail decay rate.  The grid's own left
+  end, from ``auto_grid_bounds``, drops at most 1e-10 of the energy.  When
+  the deepest well is the only negative equilibrium, a solve first ends
+  nearer, at ``front_left_end``, where the front has decayed, since the
+  weighted energy adds the energy of the profile's constant extension left
+  of its first node in closed form.  That end is an estimate, so every
+  such minimizer is checked with ``tail_excess``, and one that fails is
+  solved again on the grid's own end.  All ends keep the exponential
+  weight within double-precision range;
 * the minimum energy is an infimum over a constraint set that does not
   depend on the speed, so ``find_speed`` takes its signs from two facts.  A
   feasible profile with negative energy proves a negative sign: before any
@@ -41,6 +46,7 @@ starts from it, not from a new race; no sign depends on that solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +104,16 @@ TRUNCATION_EPS = 1e-10
 def auto_grid_bounds(consts: PotentialConstants, c: float) -> tuple:
     """Truncation for speeds from c up: left end sized by the energy it drops.
 
-    Left of the front a profile sits at a well, where W >= -m, so cutting
-    the line at x_L changes the minimum energy by at most m e^{c x_L} / c.
-    The left end is where that bound equals eps = ``TRUNCATION_EPS``,
-    x_L = -ln(m / (c eps)) / c, but no nearer to 0 than one weight length
-    1/c, which on a well shallower than m = e c eps drops less than eps.
-    It increases with c, so the range for a larger speed lies inside that
-    for c.  The shift moves c* by about eps / gamma'(c*), far below the
-    O(h^2) discretization error.
+    Left of the front a profile sits at a well, where -m <= W <= 0, so the
+    energy's constant tail left of a cut at x_L differs from what the
+    profile holds there by at most m e^{c x_L} / c.  The left end is where
+    that bound equals eps = ``TRUNCATION_EPS``, x_L = -ln(m / (c eps)) / c,
+    but no nearer to 0 than one weight length 1/c, which on a well shallower
+    than m = e c eps drops less than eps.  It increases with c, so the range
+    for a larger speed lies inside that for c.  The shift moves c* by about
+    eps / gamma'(c*), far below the O(h^2) discretization error.  This is
+    the end of the grids the CLI and the tests build, and so the end every
+    solve can go back to when ``front_left_end`` is too near.
 
     The right end stays at 40 tail decay lengths.  The decay fit of
     ``verify`` reads its noise floor from the far quarter of the right
@@ -117,11 +125,53 @@ def auto_grid_bounds(consts: PotentialConstants, c: float) -> tuple:
     return -k / c, 40.0 / decay_rate(consts, c)
 
 
-def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float) -> Grid:
-    """Sub-range of a grid sized for one speed by ``auto_grid_bounds``."""
+def front_left_end(consts: PotentialConstants, c: float) -> float:
+    """Left end for one speed's first solve, where the front has decayed.
+
+    The weighted energy counts a profile's constant extension left of its
+    first node in closed form, so a cut drops only what the profile left of
+    it holds beyond that constant.  A tail that approaches the deepest well
+    from at most the box diameter D away at x = 0, no slower than e^{r x}
+    with c + 2 r = sqrt(c^2 + 4 mu_a), holds less than eps left of
+
+        x_dec = -ln(mu_a D^2 / (2 c eps)) / sqrt(c^2 + 4 mu_a).
+
+    The envelope is anchored at x = 0, but a front can sit well left of 0
+    (on ``scalar_cubic(alpha)`` the wave is tanh(x + x0), with x0 -> inf as
+    alpha -> 2), so x_dec is only a first try that ``Probes.solve`` checks
+    with ``tail_excess``.  The end is x_dec, never left of the end of
+    ``auto_grid_bounds`` nor nearer to 0 than 1/c, and increases with c.
+    """
+    rate = math.sqrt(c * c + 4.0 * consts.mu_a)
+    x_dec = -math.log(consts.mu_a * consts.diameter ** 2 / (2.0 * c * TRUNCATION_EPS)) / rate
+    return min(max(auto_grid_bounds(consts, c)[0], x_dec), -1.0 / c)
+
+
+def tail_excess(spec: PotentialSpec, consts: PotentialConstants, c: float,
+                profile: Profile) -> float:
+    """How much the energy's constant tail can exceed a profile's best one.
+
+    Left of the first node x_0 the energy counts the constant u_0, which
+    holds e^{c x_0} W(u_0) / c; as W >= -m, any other continuation holds at
+    least -m e^{c x_0} / c.  So a minimizer on a grid cut at x_0 is at most
+    e^{c x_0} (W(u_0) + m) / c above the best profile that agrees with it
+    right of x_0: the estimate of what the cut adds to the minimum energy.
+    """
+    w0 = float(spec.value(profile.values[0]))
+    return math.exp(c * profile.grid.x_left) * (w0 + consts.m) / c
+
+
+def speed_subgrid(grid: Grid, consts: PotentialConstants, c: float,
+                  front: bool = False) -> Grid:
+    """Sub-range of a grid sized for one speed by ``auto_grid_bounds``.
+
+    With ``front`` the left end is ``front_left_end`` instead.
+    """
     nodes = grid.nodes
     iz = grid.index_zero
     lo, hi = auto_grid_bounds(consts, c)
+    if front:
+        lo = front_left_end(consts, c)
     xl = max(grid.x_left, lo)
     xr = min(grid.x_right, hi)
     i_lo = int(np.searchsorted(nodes, xl, side="left"))
@@ -161,7 +211,10 @@ class Probes:
     resampled onto a sub-grid it equals the segment profile built there bit
     for bit.  ``results`` maps each solved speed to its result, ``cold``
     holds the speeds solved cold, and ``table`` lists every ``(c, gamma)``
-    in order, bounds included.
+    in order, bounds included.  ``front`` says whether solves start on the
+    sub-grid cut at ``front_left_end``: only when the deepest well is the
+    only negative equilibrium (a left tail could stop at another) and is
+    not flat.
     """
 
     def __init__(self, spec: PotentialSpec, consts: PotentialConstants, grid: Grid,
@@ -171,28 +224,49 @@ class Probes:
         self.results: dict[float, GammaResult] = {}
         self.cold: set[float] = set()
         self.table: list[tuple[float, float]] = []
+        self.front = len(consts.equilibria) == 1 and consts.mu_a > 0
 
     def solve(self, c: float, start: float | None = None,
               opt_tol: float | None = None) -> GammaResult:
-        """Minimum energy at c on speed_subgrid(grid, consts, c).
+        """Minimum energy at c on speed_subgrid(grid, consts, c, front).
 
         Warm-started from the minimizer found at the solved speed ``start``,
         else raced cold from every seed; either start is resampled onto the
         sub-grid with ``transfer_profile``.  ``opt_tol`` defaults to the run's.
+        A minimizer on the ``front`` sub-grid whose ``tail_excess`` is above
+        ``TRUNCATION_EPS`` is discarded, and the solve runs again from the
+        same start on speed_subgrid(grid, consts, c), which ends where the
+        grid does.  A warm start that reaches left of the ``front``
+        sub-grid and already fails that check on it goes there directly.
         """
         opt_tol = self.opt_tol if opt_tol is None else opt_tol
         params = FunctionalParams(c=c)
-        sub = speed_subgrid(self.grid, self.consts, c)
-        if start is not None:
-            init = transfer_profile(self.results[start].profile, sub)
-            res = minimize_profile(self.spec, self.consts, params, sub, init, opt_tol)
-        else:
-            inits = [transfer_profile(seed, sub) for seed in self.seeds]
-            res = minimize_from_seeds(self.spec, self.consts, params, sub, inits, opt_tol)
+        subs = [speed_subgrid(self.grid, self.consts, c)]
+        if self.front:
+            near = speed_subgrid(self.grid, self.consts, c, front=True)
+            if near.n_nodes < subs[0].n_nodes and not self._fails_near(c, start, near):
+                subs.insert(0, near)
+        for sub in subs:
+            if start is not None:
+                init = transfer_profile(self.results[start].profile, sub)
+                res = minimize_profile(self.spec, self.consts, params, sub, init, opt_tol)
+            else:
+                inits = [transfer_profile(seed, sub) for seed in self.seeds]
+                res = minimize_from_seeds(self.spec, self.consts, params, sub, inits, opt_tol)
+            if sub is subs[-1] or tail_excess(self.spec, self.consts, c, res.profile) <= TRUNCATION_EPS:
+                break
+        if start is None:
             self.cold.add(c)
         self.results[c] = res
         self.table.append((c, res.gamma))
         return res
+
+    def _fails_near(self, c: float, start: float | None, near: Grid) -> bool:
+        """Whether the minimizer at ``start`` reaches left of ``near`` and fails ``tail_excess`` on it."""
+        if start is None or self.results[start].profile.grid.x_left > near.x_left:
+            return False
+        init = transfer_profile(self.results[start].profile, near)
+        return tail_excess(self.spec, self.consts, c, init) > TRUNCATION_EPS
 
     def nearest(self, c: float) -> float | None:
         """The solved speed closest to c, or None before the first solve."""
@@ -207,7 +281,7 @@ class Probes:
         from above, so such a start settles a negative sign without a
         descent.  A bound is recorded in ``table`` only, never as a result.
         """
-        sub = speed_subgrid(self.grid, self.consts, c)
+        sub = speed_subgrid(self.grid, self.consts, c, self.front)
         op = WeightedEnergy(self.spec, FunctionalParams(c=c), sub)
         inits = self.seeds if start is None else [self.results[start].profile]
         for init in inits:

@@ -132,7 +132,9 @@ def first_integral_residual(spec: PotentialSpec, c: float, profile: Profile) -> 
 
 def _halfline_energies(spec, c, profile):
     """Weighted energy over each half-line, summed from the energy's own cells,
-    plus the unweighted slope energy over the right half-line."""
+    plus the unweighted slope energy over the right half-line.  The left
+    half-line's first cell carries the closed-form energy of the profile's
+    constant extension left of the grid."""
     iz = profile.grid.index_zero
     op = WeightedEnergy(spec, FunctionalParams(c=c), profile.grid)
     g, kin = op.cell_energy(profile.values)

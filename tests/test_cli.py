@@ -296,6 +296,24 @@ directory = {out}
         assert report["constants"]["mu"] == pytest.approx(2.8, abs=1e-6)
         assert report["constants"]["d"] == pytest.approx(1.13667504192892, abs=1e-5)
 
+    def test_semicolon_after_a_space_separates_terms(self, tmp_path):
+        # only "#" starts an inline comment; ";" starts only a full-line one
+        cfg = write_config(tmp_path, """
+[potential]
+; the scalar double well as two terms, about b = 1
+variant = user_polynomial
+dim = 1
+terms = 0.5 4 ; -1.0 2
+well_b = 1.0
+box = -2:2
+
+[grid]
+h = 0.05  # note
+""")
+        loaded = load_config(cfg)
+        assert loaded.terms == [(0.5, [4]), (-1.0, [2])]
+        assert loaded.h == 0.05
+
     def test_malformed_term_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 [potential]

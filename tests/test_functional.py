@@ -82,6 +82,19 @@ class TestEnergy:
             shifted = energy(scalar_spec, FunctionalParams(c=c), shift(p, s))
             assert shifted == pytest.approx(np.exp(-c * s) * base, rel=1e-3, abs=1e-4)
 
+    def test_tail_is_the_constant_extension(self, scalar_spec):
+        # a profile constant left of -5 has the same energy on a grid cut at
+        # -5 as on one cut at -30: the tail term is that constant's energy
+        p = analytic_profile(h=0.05, x_left=-30.0)
+        vals = p.values.copy()
+        i5 = p.grid.index_zero - 100
+        vals[:i5] = vals[i5]
+        short = Profile(grid=Grid(nodes=p.grid.nodes[i5:]), values=vals[i5:], well_b=p.well_b)
+        for c in (0.3, 0.6, 1.2):
+            params = FunctionalParams(c=c)
+            assert energy(scalar_spec, params, short) == pytest.approx(
+                energy(scalar_spec, params, p.with_values(vals)), abs=1e-13)
+
     def test_overflow_guard(self, scalar_spec):
         g = Grid.uniform(-5.0, 1050.0, 1.0)
         p = Profile(grid=g, values=np.ones((g.n_nodes, 1)), well_b=np.array([1.0]))
@@ -170,6 +183,21 @@ class TestGradient:
             vm[i, 0] -= eps
             fd = (objective(op, vp) - objective(op, vm)) / (2 * eps)
             assert grad[i, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+    def test_first_node_carries_the_tail(self, scalar_spec, scalar_consts):
+        # on a short grid the tail weight e^{c x_0} / c is most of node 0's
+        # lumped weight, and the gradient there includes it
+        g = Grid.uniform(-2.0, 3.0, 0.1)
+        p = segment_profile(scalar_spec, g, scalar_consts.point_a)
+        vals = p.values + 0.1
+        vals[-1] = p.well_b
+        op = WeightedEnergy(scalar_spec, FunctionalParams(c=0.7), g)
+        assert op.lump[0, 0] == 0.5 * op.E[0] + float(np.exp(0.7 * g.nodes[0])) / 0.7
+        vp, vm = vals.copy(), vals.copy()
+        vp[0, 0] += 1e-6
+        vm[0, 0] -= 1e-6
+        fd = (objective(op, vp) - objective(op, vm)) / 2e-6
+        assert gradient(op, vals)[0, 0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestBounds:

@@ -247,6 +247,9 @@ class TestPreconditioner:
                 A[k + 1, k + 1] += stiff[k] + 0.5 * sigma * E[k]
                 A[k, k + 1] -= stiff[k]
                 A[k + 1, k] -= stiff[k]
+        # the constant extension left of the first node adds its weight
+        # e^{c x_0} / c to the mass of node 0
+        A[0, 0] += sigma * np.exp(c * grid.nodes[0]) / c
         rhs = np.random.default_rng(3).standard_normal((n, 2))
         sol, info = dpttrs(d, e, rhs)
         assert info == 0

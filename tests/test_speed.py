@@ -16,6 +16,7 @@ from gradwave import (
     derivative,
     find_speed,
     gamma_curve,
+    scalar_cubic,
     segment_profile,
     user_polynomial,
 )
@@ -172,36 +173,75 @@ class TestTruncation:
 
     @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
     def test_left_end_drops_eps(self, builtin, request):
+        # the grid's own end is sized by the well's depth; on the scalar well,
+        # the only negative equilibrium, solves first end where the front
+        # has decayed, right of it
         consts = request.getfixturevalue(f"{builtin}_consts")
-        ends = []
+        # W''(-1) = 4 + 2 alpha = 5.2 in the first component; the box is [-2, 2]^dim
+        assert consts.mu_a == pytest.approx(5.2, rel=1e-9)
+        assert consts.diameter == 4.0 * np.sqrt(len(consts.point_a))
+        eps = speed.TRUNCATION_EPS
+        grid = Grid.uniform(-200.0, 30.0, 0.05)
+        assert Probes(request.getfixturevalue(f"{builtin}_spec"), consts, grid, 1e-5).front \
+            == (builtin == "scalar")
+        ends, fronts = [], []
         for c in (0.25, 0.6, 1.2, 3.0):
             xl, xr = speed.auto_grid_bounds(consts, c)
-            assert consts.m * np.exp(c * xl) / c == pytest.approx(speed.TRUNCATION_EPS, rel=1e-12)
+            assert consts.m * np.exp(c * xl) / c == pytest.approx(eps, rel=1e-12)
             assert xr == 40.0 / decay_rate(consts, c)
             ends.append(xl)
+            xf = speed.front_left_end(consts, c)
+            rate = np.sqrt(c * c + 4.0 * consts.mu_a)
+            assert consts.mu_a * consts.diameter ** 2 * np.exp(rate * xf) / (2.0 * c) \
+                == pytest.approx(eps, rel=1e-12)
+            assert xl < xf
+            fronts.append(xf)
         # the range for a larger speed lies inside that for a smaller one
         assert all(a < b < 0 for a, b in zip(ends, ends[1:]))
+        assert all(a < b < 0 for a, b in zip(fronts, fronts[1:]))
+
+    def test_never_left_of_the_well_depth_end(self, scalar_spec, scalar_consts):
+        # a front end left of the grid's own end is clipped to it, and a flat
+        # deepest well sets no decay rate, so its solves keep the grid's end
+        wide = dataclasses.replace(scalar_consts, diameter=1e100)
+        for c in (0.25, 0.6, 1.2, 3.0):
+            assert speed.front_left_end(wide, c) == speed.auto_grid_bounds(wide, c)[0]
+        flat = dataclasses.replace(scalar_consts, mu_a=0.0)
+        assert not Probes(scalar_spec, flat, Grid.uniform(-80.0, 30.0, 0.05), 1e-5).front
 
     def test_shallow_well_keeps_one_weight_length(self, scalar_consts):
         # m / c below eps would put the estimate's end right of 0
         shallow = dataclasses.replace(scalar_consts, m=1e-12)
         assert speed.auto_grid_bounds(shallow, 0.5)[0] == -1.0 / 0.5
+        assert speed.front_left_end(shallow, 0.5) == -1.0 / 0.5
 
     @pytest.mark.parametrize("name", ["scalar", "decoupled", "poly3"])
-    def test_gamma_shift_is_the_dropped_tail(self, name, truncation_cases, monkeypatch):
-        # the old range holds the tail left of the new end, where the profile
-        # sits at a well: the energy differs by |W(u_0)| e^{c x_0} / c
+    def test_gamma_matches_twice_as_long_range(self, name, truncation_cases, monkeypatch):
+        # the closed-form tail carries the constant left of the cut, so a
+        # left end twice as far out changes the minimum energy by at most eps
         spec, consts = truncation_cases[name]
-        c_list = [0.8, 1.5]
-        new = gamma_curve(spec, consts, make_grid(consts, 0.8, h=0.02), c_list, opt_tol=1e-10)
-        monkeypatch.setattr(speed, "auto_grid_bounds", old_grid_bounds)
-        grid = Grid.uniform(*old_grid_bounds(consts, 0.8), 0.02)
-        old = gamma_curve(spec, consts, grid, c_list, opt_tol=1e-10)
-        for c, res, ref in zip(c_list, new, old):
-            assert res.converged and ref.converged
-            x0, u0 = res.profile.grid.x_left, res.profile.values[0]
-            tail = abs(float(spec.value(u0))) * np.exp(c * x0) / c
-            assert 0 < res.gamma - ref.gamma == pytest.approx(tail, rel=1e-2)
+        c_list = (0.8, 1.5) if name == "poly3" else (0.25, 0.6, 1.2, 3.0)
+        rule, front = speed.auto_grid_bounds, speed.front_left_end
+
+        def doubled(consts, c):
+            xl, xr = rule(consts, c)
+            return 2.0 * xl, xr
+
+        curves = []
+        for bounds, front_end in ((rule, front), (doubled, lambda k, c: 2.0 * front(k, c))):
+            monkeypatch.setattr(speed, "auto_grid_bounds", bounds)
+            monkeypatch.setattr(speed, "front_left_end", front_end)
+            grid = Grid.uniform(*bounds(consts, c_list[0]), 0.02)
+            curves.append(gamma_curve(spec, consts, grid, c_list, opt_tol=1e-10))
+        for c, res, ref in zip(c_list, *curves):
+            assert ref.profile.grid.x_left < 1.9 * res.profile.grid.x_left
+            if name == "decoupled" and c == 0.25:
+                # stalls on both ranges alike, at the well-depth end too
+                # (ROADMAP item 12)
+                assert not res.converged and not ref.converged
+            else:
+                assert res.converged and ref.converged
+            assert abs(res.gamma - ref.gamma) <= speed.TRUNCATION_EPS
 
     @pytest.mark.parametrize("builtin", ["scalar", "decoupled"])
     def test_c_star_unmoved_at_tight_tolerance(self, builtin, request, monkeypatch):
@@ -209,8 +249,10 @@ class TestTruncation:
         consts = request.getfixturevalue(f"{builtin}_consts")
         lo = compute_bounds(spec, consts, 1.0).bracket_lo
         c_stars = []
-        for rule in (speed.auto_grid_bounds, old_grid_bounds):
+        for rule, front in ((speed.auto_grid_bounds, speed.front_left_end),
+                            (old_grid_bounds, lambda k, c: old_grid_bounds(k, c)[0])):
             monkeypatch.setattr(speed, "auto_grid_bounds", rule)
+            monkeypatch.setattr(speed, "front_left_end", front)
             res = find_speed(spec, consts, Grid.uniform(*rule(consts, lo), 0.02),
                              c_tol=1e-8, opt_tol=1e-10)
             assert run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star).passed
@@ -218,11 +260,67 @@ class TestTruncation:
         assert abs(c_stars[0] - c_stars[1]) <= 1e-9
 
 
+class TestFrontEnd:
+    """Solves that end where the front has decayed, checked by ``tail_excess``."""
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.35, 1.7, 1.9])
+    def test_waves_verify_on_either_end(self, alpha):
+        # scalar_cubic(alpha) has the wave tanh(x + x0) at c = alpha, where
+        # W(tanh(x0)) = 0; x0 grows without bound as alpha -> 2, so the
+        # front end, anchored at x = 0, is too near on the upper range, and
+        # the final solve goes back to the grid's own end
+        spec = scalar_cubic(alpha)
+        consts = compute_constants(spec)
+        grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=0.02)
+        res = find_speed(spec, consts, grid, c_tol=1e-3)
+        assert abs(res.c_star - alpha) <= 1e-3
+        report = run_verify(spec, consts, res.c_star, res.profile, res.gamma_at_c_star)
+        assert report.passed
+        assert report.checks["left_tail_grad"][0] <= 2.5e-3
+        excess = speed.tail_excess(spec, consts, res.c_star, res.profile)
+        front = speed_subgrid(grid, consts, res.c_star, front=True)
+        full = speed_subgrid(grid, consts, res.c_star)
+        if alpha <= 1.35:
+            assert np.array_equal(res.profile.grid.nodes, front.nodes)
+            assert excess <= speed.TRUNCATION_EPS
+        else:
+            assert np.array_equal(res.profile.grid.nodes, full.nodes)
+
+    def test_failed_front_solve_goes_back_per_speed(self, monkeypatch):
+        # each speed is checked on its own: on scalar_cubic(1.0) the cold
+        # upper bracket end fails the check and is solved again on the
+        # grid's end; warm probes started from it go there directly while
+        # their start fails the check too, and c* keeps the front end
+        spec = scalar_cubic(1.0)
+        consts = compute_constants(spec)
+        ends = {}
+
+        def logging(real):
+            def call(spec, consts, params, grid, *args):
+                ends.setdefault(params.c, []).append(grid.x_left)
+                return real(spec, consts, params, grid, *args)
+            return call
+
+        for name in ("minimize_profile", "minimize_from_seeds"):
+            monkeypatch.setattr(speed, name, logging(getattr(speed, name)))
+        grid = make_grid(consts, compute_bounds(spec, consts, 1.0).bracket_lo, h=0.02)
+        res = find_speed(spec, consts, grid, c_tol=1e-3)
+
+        def end(c, front):
+            return speed_subgrid(grid, consts, c, front=front).x_left
+
+        c_hi = res.bracket_history[0][1]
+        assert ends[c_hi] == [end(c_hi, True), end(c_hi, False)]
+        assert any(xs == [end(c, False)] for c, xs in ends.items())
+        assert all(set(xs) <= {end(c, True), end(c, False)} for c, xs in ends.items())
+        assert ends[res.c_star] == [end(res.c_star, True)]
+
+
 class TestGammaCurve:
     def test_each_point_lives_on_its_subgrid(self, scalar_curve, scalar_consts):
         c_list, curve, grid = scalar_curve
         for c, res in zip(c_list, curve):
-            sub = speed_subgrid(grid, scalar_consts, c)
+            sub = speed_subgrid(grid, scalar_consts, c, front=True)
             assert np.array_equal(res.profile.grid.nodes, sub.nodes)
 
     def test_warm_chain_from_the_previous_speed(self, scalar_spec, scalar_consts, monkeypatch):
@@ -298,6 +396,21 @@ class NoCertificate(speed.WeightedEnergy):
 
 
 class TestSignCertificates:
+    @pytest.mark.parametrize("c, start", [(0.3, None), (0.4, 0.35), (0.55, 0.5)])
+    def test_certificate_bounds_the_minimum(self, scalar_spec, scalar_consts, c, start):
+        # with the closed-form tail every discrete energy is that of a
+        # profile on the whole line, so a certificate is never below the
+        # minimum on the same sub-grid.  The seeds certify up to c = 0.35
+        # (their energy is +0.26 at 0.4); above, the bisection's warm start
+        # from a solved speed does
+        run = Probes(scalar_spec, scalar_consts, make_grid(scalar_consts, 0.3, h=0.02), 1e-8)
+        if start is not None:
+            run.solve(start)
+        bound = run.bound(c, start)
+        res = run.solve(c)
+        assert bound is not None and res.converged
+        assert bound >= res.gamma
+
     def test_no_descent_at_lower_bracket_end(self, logged):
         res, calls, bounds = logged
         c_lo, _, g_lo, _ = res.bracket_history[0]

@@ -18,6 +18,7 @@ from gradwave import (
     TailError,
     compute_bounds,
     compute_constants,
+    energy,
     find_speed,
     minimize_profile,
     segment_profile,
@@ -25,6 +26,7 @@ from gradwave import (
 )
 from gradwave import derivative, verify
 from gradwave.functional import cell_weights
+from gradwave.speed import TRUNCATION_EPS, front_left_end
 from gradwave.verify import (
     el_residual,
     first_integral_residual,
@@ -132,7 +134,9 @@ def first_integral_reference(spec, c, profile):
 
 
 def halfline_energies_reference(spec, c, profile):
-    """The half-line energies as first written, from cell_weights."""
+    """The half-line energies as first written, from cell_weights, with the
+    energy e^{c x_0} W(u_0) / c of the constant extension left of the grid
+    counted on the left half-line."""
     x, u, iz = profile.grid.nodes, profile.values, profile.grid.index_zero
     E = cell_weights(profile.grid, FunctionalParams(c=c))
     h = np.diff(x)
@@ -140,6 +144,7 @@ def halfline_energies_reference(spec, c, profile):
     du = (u[1:] - u[:-1]) / h[:, None]
     kin = 0.5 * np.sum(du * du, axis=1)
     g = E * (kin + 0.5 * (w[:-1] + w[1:]))
+    g[0] += np.exp(c * x[0]) / c * w[0]
     return float(np.sum(g[iz:])), float(np.sum(g[:iz])), float(np.sum(2.0 * kin[iz:] * h[iz:]))
 
 
@@ -510,6 +515,24 @@ class TestRunVerify:
                      "dist_to_equilibria", "shooting_gap"):
             assert name in d
             assert set(d[name]) == {"value", "threshold", "pass"}
+
+    def test_verdicts_do_not_depend_on_the_left_cut(self, scalar_spec, scalar_consts):
+        # the exact wave cut at -40/c and at the front left end: the closed-form
+        # tail makes the energies agree, and every check gives the same verdict
+        c = 0.6
+        energies, verdicts = [], []
+        for x_left in (-40.0 / c, front_left_end(scalar_consts, c)):
+            grid = Grid.uniform(x_left, 22.0, 0.01)
+            vals = np.tanh(grid.nodes + X0_TANH)[:, None]
+            vals[-1] = 1.0
+            p = Profile(grid=grid, values=vals, well_b=np.array([1.0]))
+            J = energy(scalar_spec, FunctionalParams(c=c), p)
+            report = run_verify(scalar_spec, scalar_consts, c, p, J)
+            energies.append(J)
+            verdicts.append({name: ok for name, (_, _, ok) in report.checks.items()})
+        assert abs(energies[0] - energies[1]) <= TRUNCATION_EPS
+        assert verdicts[0] == verdicts[1]
+        assert all(verdicts[0].values())
 
     def test_report_fails_on_wrong_speed(self, scalar_spec, scalar_consts, analytic_wave):
         report = run_verify(scalar_spec, scalar_consts, 0.7, analytic_wave, 0.0)
